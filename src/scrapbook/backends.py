@@ -111,9 +111,6 @@ class CostReport:
                           self.frames + other.frames)
 
 
-ZERO_COST = CostReport(0, 0.0, 0)
-
-
 def report(units: int, config: RenderConfig, frames: int = 1) -> CostReport:
     if math.isinf(config.throughput_px_per_ms):
         ms = config.overhead_ms
@@ -202,10 +199,6 @@ def attr_change_units(backend: BackendKind, scene: SceneDocument, screen: Screen
 # --- pixel-producing entry points ---
 
 SourceResolver = Callable[[str], RasterImage]
-
-
-def dict_resolver(mapping: dict) -> SourceResolver:
-    return lambda key: mapping[key]
 
 
 def _check_chains(backend: BackendKind, scene: SceneDocument) -> None:

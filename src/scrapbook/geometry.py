@@ -55,9 +55,6 @@ class Rect:
         y2 = min(self.y2, other.y2)
         return Rect(x1, y1, max(0, x2 - x1), max(0, y2 - y1))
 
-    def contains_point(self, px: float, py: float) -> bool:
-        return self.x <= px < self.x2 and self.y <= py < self.y2
-
 
 def rotated_extents(width: float, height: float, angle_deg: float) -> tuple[float, float]:
     """Width and height of the axis-aligned box around a rotated rectangle."""

@@ -67,6 +67,11 @@ class RasterImage:
         """Writable (h, w, 4) uint8 view onto the pixel buffer."""
         return np.frombuffer(self.data, dtype=np.uint8).reshape(self.height, self.width, 4)
 
+    @property
+    def packed(self) -> np.ndarray:
+        """Writable (h, w) uint32 view: one element per RGBA pixel."""
+        return np.frombuffer(self.data, dtype=np.uint32).reshape(self.height, self.width)
+
     def get_pixel(self, x: int, y: int) -> tuple[int, int, int, int]:
         i = (y * self.width + x) * 4
         return tuple(self.data[i:i + 4])

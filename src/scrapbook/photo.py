@@ -116,10 +116,6 @@ def scale_to(photo: PhotoObject, factor: float) -> PhotoObject:
     return replace(photo, scale=float(factor))
 
 
-def with_effects(photo: PhotoObject, effects) -> PhotoObject:
-    return replace(photo, effects=tuple(effects))
-
-
 def photo_bbox(photo: PhotoObject) -> Rect:
     """Outward-rounded axis-aligned box of the rotated display rectangle."""
     w, h = display_size(photo)

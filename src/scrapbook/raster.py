@@ -8,6 +8,27 @@ Sampling is nearest-neighbor with inverse mapping: for every screen pixel
 inside the photo's rotated footprint the source texel is looked up through
 the inverse transform.  Compositing is source-over against the opaque
 frame with round-half-up channel math.
+
+The kernel's cost follows the pixels it writes.  An axis-aligned draw
+separates into one row lookup and one column lookup.  A rotated draw walks
+the clipped bounding box row by row: the rectangle's four edge functions
+(Pineda, SIGGRAPH 1988) give each row a conservative span of columns,
+widened past float64 rounding, and only span pixels are evaluated.  On
+those pixels the kernel computes the same float64 expressions on the same
+operands in the same order as a full per-pixel grid would:
+
+    px = x + 0.5 - cx,  py = y + 0.5 - cy
+    lx = px*cos + py*sin + sw/2,  ly = -px*sin + py*cos + sh/2
+    inside = 0 <= lx < sw and 0 <= ly < sh
+    texel = clip(floor(l / s * size))
+
+and the exact `inside` test, not the span, decides which pixels are
+written.  A span that is too wide costs a few evaluations and can never
+change a pixel, so frames are bit-identical to the full-grid form.
+
+Texels are gathered through the image's packed uint32 view (one 4-byte
+read per pixel) and written through a 3-byte view of the frame.  Nothing
+is cached between calls: the rasterizer is reentrant.
 """
 
 from __future__ import annotations
@@ -22,9 +43,18 @@ from .image import RasterImage
 from .photo import PhotoObject, display_size, source_rect
 from .viewport import ScreenSpec, to_screen
 
+# Packed texels whose alpha byte is 255; the mask is built from bytes so it
+# holds on either byte order.
+_OPAQUE = np.frombuffer(bytes((0, 0, 0, 255)), dtype=np.uint32)[0]
+# One frame pixel as a single 3-byte element.
+_RGB = np.dtype("V3")
+
 
 class Frame:
-    """RGB8 surface at screen resolution; the background is white."""
+    """RGB8 surface at screen resolution; the background is white.
+
+    `rgb` is a C-contiguous (height, width, 3) uint8 array.
+    """
 
     __slots__ = ("width", "height", "rgb")
 
@@ -65,23 +95,35 @@ def prepare_content(photo: PhotoObject, source: RasterImage) -> RasterImage:
     return apply_chain(cropped, photo.effects)
 
 
-def _composite(region: np.ndarray, texels: np.ndarray, inside) -> None:
-    """Source-over texels onto an RGB region; `inside` masks the footprint."""
-    alpha_bytes = texels[:, :, 3]
-    if (alpha_bytes == 255).all():
-        # Opaque content: source-over degenerates to an exact texel copy.
-        if inside is None:
-            region[:] = texels[:, :, :3]
-        else:
-            region[inside] = texels[:, :, :3][inside]
+def _composite(pixels: np.ndarray, at, texels: np.ndarray) -> None:
+    """Source-over packed RGBA texels onto the 3-byte frame pixels `pixels[at]`."""
+    if np.bitwise_and.reduce(texels, axis=None) & _OPAQUE == _OPAQUE:
+        # Opaque content: source-over degenerates to an exact texel copy,
+        # three bytes per pixel read straight out of the packed texels.
+        pixels[at] = np.ndarray(texels.shape, dtype=_RGB, buffer=texels,
+                                strides=texels.strides)
         return
-    alpha = alpha_bytes[:, :, None].astype(np.float64) / 255.0
-    blended = np.floor(texels[:, :, :3] * alpha
-                       + region.astype(np.float64) * (1.0 - alpha) + 0.5)
-    if inside is None:
-        region[:] = blended.astype(np.uint8)
-    else:
-        region[inside] = blended.astype(np.uint8)[inside]
+    shape = texels.shape
+    rgba = texels.view(np.uint8).reshape(shape + (4,))
+    dst = np.ascontiguousarray(pixels[at]).view(np.uint8).reshape(shape + (3,))
+    alpha = rgba[..., 3:].astype(np.float64) / 255.0
+    blended = np.floor(rgba[..., :3] * alpha
+                       + dst.astype(np.float64) * (1.0 - alpha) + 0.5)
+    pixels[at] = blended.astype(np.uint8).view(_RGB)[..., 0]
+
+
+def _edge_span(a: float, b: np.ndarray, size: float, eps: float):
+    """Per-row interval of t where -eps <= a*t + b <= size + eps.
+
+    `b` holds one offset per row.  A zero slope makes the constraint all or
+    nothing for the row.
+    """
+    if a == 0.0:
+        ok = (b >= -eps) & (b <= size + eps)
+        return np.where(ok, -np.inf, np.inf), np.where(ok, np.inf, -np.inf)
+    lo = (-eps - b) / a
+    hi = (size + eps - b) / a
+    return (lo, hi) if a > 0 else (hi, lo)
 
 
 def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
@@ -103,7 +145,9 @@ def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
 
     theta = math.radians(photo.angle)
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    src = content.array
+    cw, ch = content.width, content.height
+    texels = content.packed
+    pixels = frame.rgb.view(_RGB)[..., 0]
 
     if cos_t == 1.0 and sin_t == 0.0:
         # Axis-aligned: row and column lookups separate, no rotation grid.
@@ -117,28 +161,50 @@ def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
         c1 = len(col_in) - int(col_in[::-1].argmax())
         r0 = int(row_in.argmax())
         r1 = len(row_in) - int(row_in[::-1].argmax())
-        sx = np.clip(np.floor(lx[c0:c1] / sw * content.width),
-                     0, content.width - 1).astype(np.intp)
-        sy = np.clip(np.floor(ly[r0:r1] / sh * content.height),
-                     0, content.height - 1).astype(np.intp)
-        texels = src[sy[:, None], sx[None, :]]
-        region = frame.rgb[clip.y + r0:clip.y + r1, clip.x + c0:clip.x + c1]
-        _composite(region, texels, None)
+        sx = np.clip(np.floor(lx[c0:c1] / sw * cw), 0, cw - 1).astype(np.intp)
+        sy = np.clip(np.floor(ly[r0:r1] / sh * ch), 0, ch - 1).astype(np.intp)
+        block = (slice(clip.y + r0, clip.y + r1), slice(clip.x + c0, clip.x + c1))
+        _composite(pixels, block, texels.take(sy, axis=0).take(sx, axis=1))
         return
 
-    # Sample at pixel centres; inverse-rotate into the photo's local frame.
-    ys, xs = np.mgrid[clip.y:clip.y2, clip.x:clip.x2]
+    # Conservative per-row spans from the four edges.  For the row's pixel
+    # centres t = x + 0.5 - cx, lx and ly are linear in t; solve each edge
+    # inequality for t with a slack far above float64 rounding, then widen
+    # by a pixel on each side.  The inside test below decides every pixel.
+    py = np.arange(clip.y, clip.y2, dtype=np.float64) + 0.5 - cy
+    py_sin, py_cos = py * sin_t, py * cos_t
+    eps = 1e-9 * (abs(cx) + abs(cy) + frame.width + frame.height + sw + sh + 1.0)
+    u_lo, u_hi = _edge_span(cos_t, py_sin + sw / 2.0, sw, eps)
+    v_lo, v_hi = _edge_span(-sin_t, py_cos + sh / 2.0, sh, eps)
+    t0 = clip.x + 0.5 - cx
+    x0 = np.clip(np.floor(np.maximum(u_lo, v_lo) - t0) - 1.0, 0, clip.w).astype(np.intp)
+    x1 = np.clip(np.ceil(np.minimum(u_hi, v_hi) - t0) + 2.0, 0, clip.w).astype(np.intp)
+    counts = np.maximum(x1 - x0, 0)
+    n = int(counts.sum())
+    if n == 0:
+        return
+
+    # Flatten the spans into the frame column and flat frame index of every
+    # candidate pixel, then evaluate the full-grid expressions on just those
+    # pixels; a row's products repeat along its span unchanged.
+    xs = np.arange(n) + np.repeat(clip.x + x0 - (np.cumsum(counts) - counts), counts)
+    flat = xs + np.repeat(np.arange(clip.y, clip.y2) * frame.width, counts)
     px = xs + 0.5 - cx
-    py = ys + 0.5 - cy
-    lx = px * cos_t + py * sin_t + sw / 2.0
-    ly = -px * sin_t + py * cos_t + sh / 2.0
-
+    lx = px * cos_t + np.repeat(py_sin, counts) + sw / 2.0
+    ly = -px * sin_t + np.repeat(py_cos, counts) + sh / 2.0
     inside = (lx >= 0) & (lx < sw) & (ly >= 0) & (ly < sh)
-    if not inside.any():
-        return
 
-    sx = np.clip(np.floor(lx / sw * content.width), 0, content.width - 1).astype(np.intp)
-    sy = np.clip(np.floor(ly / sh * content.height), 0, content.height - 1).astype(np.intp)
-    texels = src[sy, sx]
-    region = frame.rgb[clip.y:clip.y2, clip.x:clip.x2]
-    _composite(region, texels, inside)
+    # Texel index floor(l / s * size), clipped, formed in place.  Both
+    # coordinates are whole numbers far inside float64's exact range, so
+    # row * width + column is exact before the integer cast.
+    for v, s, size in ((lx, sw, cw), (ly, sh, ch)):
+        v /= s
+        v *= size
+        np.floor(v, out=v)
+        np.clip(v, 0, size - 1, out=v)
+    ly *= cw
+    ly += lx
+    texel = ly.astype(np.intp)
+    if not inside.all():
+        texel, flat = texel[inside], flat[inside]
+    _composite(pixels.reshape(-1), flat, texels.reshape(-1).take(texel))

@@ -238,10 +238,3 @@ def test_scene_frame_digests():
 
 def test_drag_frame_digests():
     assert drag_digests() == DRAG_DIGESTS
-
-
-if __name__ == "__main__":
-    import pprint
-    pprint.pprint({name: effect_digests(name) for name in POOL_IMAGES})
-    pprint.pprint(scene_digests())
-    pprint.pprint(drag_digests())
