@@ -4,6 +4,10 @@ Each effect is a pure function of (image, spec): deterministic, never
 mutates its input, and leaves alpha alone except for `opacity`.  Channel
 math uses float64 intermediates, rounds half-up and clamps after rounding,
 so results are bit-reproducible everywhere the same chain runs.
+
+Each kind is one row of `_KINDS`: its apply function, its parameter schema
+(a check per name plus the JSON form where it differs) and its growth per
+side.  Validation, JSON and size accounting all read that row.
 """
 
 from __future__ import annotations
@@ -11,10 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import Rect
+from .geometry import Rect, is_finite_number, is_int
 from .image import RasterImage
 
 
@@ -42,68 +47,33 @@ class EffectParamError(ValueError):
     """Effect parameters outside their documented ranges (a caller bug)."""
 
 
-def _require_number(params: dict, key: str, lo=None, hi=None):
-    value = params.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
-        raise EffectParamError(f"{key} must be a finite number, got {value!r}")
-    if lo is not None and value < lo:
-        raise EffectParamError(f"{key}={value} below minimum {lo}")
-    if hi is not None and value > hi:
-        raise EffectParamError(f"{key}={value} above maximum {hi}")
+class _Param(NamedTuple):
+    """One parameter of a kind: `check` accepts the Python value and `what`
+    says what it accepts; `load` and `dump` convert the JSON form where it
+    differs from the Python value."""
+
+    check: Callable[[object], bool]
+    what: str
+    load: Callable[[object], object] = lambda value: value
+    dump: Callable[[object], object] = lambda value: value
+
+    def error(self, kind: EffectKind, name: str, value) -> EffectParamError:
+        return EffectParamError(f"{kind.value}: {name} must be {self.what}, got {value!r}")
 
 
-def _require_color(params: dict, key: str):
-    color = params.get(key)
-    if (not isinstance(color, (tuple, list)) or len(color) != 4
-            or not all(isinstance(c, int) and 0 <= c <= 255 for c in color)):
-        raise EffectParamError(f"{key} must be four 0..255 integers, got {color!r}")
+def _number(lo=-math.inf, hi=math.inf) -> _Param:
+    return _Param(lambda v: is_finite_number(v) and lo <= v <= hi,
+                  f"a finite number in [{lo}, {hi}]")
 
 
-def _require_rect(params: dict, key: str):
-    region = params.get(key)
-    if not isinstance(region, Rect) or region.w <= 0 or region.h <= 0:
-        raise EffectParamError(f"{key} must be a non-empty Rect, got {region!r}")
-
-
-_PARAM_KEYS = {
-    EffectKind.BRIGHTNESS: ("delta",),
-    EffectKind.CONTRAST: ("factor",),
-    EffectKind.HUE: ("degrees",),
-    EffectKind.SATURATE: ("factor",),
-    EffectKind.BLACKWHITE: ("threshold",),
-    EffectKind.OPACITY: ("alpha",),
-    EffectKind.BORDER: ("width", "color"),
-    EffectKind.REDEYE: ("region",),
-}
-
-
-def _validate(kind: EffectKind, params: dict) -> None:
-    expected = _PARAM_KEYS.get(kind, ())
-    unknown = set(params) - set(expected)
-    if unknown:
-        raise EffectParamError(f"{kind.value}: unexpected parameters {sorted(unknown)}")
-    missing = set(expected) - set(params)
-    if missing:
-        raise EffectParamError(f"{kind.value}: missing parameters {sorted(missing)}")
-    if kind is EffectKind.BRIGHTNESS:
-        _require_number(params, "delta", -255, 255)
-    elif kind is EffectKind.CONTRAST:
-        _require_number(params, "factor", 0)
-    elif kind is EffectKind.HUE:
-        _require_number(params, "degrees")
-    elif kind is EffectKind.SATURATE:
-        _require_number(params, "factor", 0)
-    elif kind is EffectKind.BLACKWHITE:
-        _require_number(params, "threshold", 0, 255)
-    elif kind is EffectKind.OPACITY:
-        _require_number(params, "alpha", 0, 1)
-    elif kind is EffectKind.BORDER:
-        width = params.get("width")
-        if not isinstance(width, int) or isinstance(width, bool) or width < 0:
-            raise EffectParamError(f"border width must be a non-negative int, got {width!r}")
-        _require_color(params, "color")
-    elif kind is EffectKind.REDEYE:
-        _require_rect(params, "region")
+_WIDTH = _Param(lambda w: is_int(w) and w >= 0, "a non-negative int")
+_COLOR = _Param(lambda c: (isinstance(c, (tuple, list)) and len(c) == 4
+                           and all(is_int(v) and 0 <= v <= 255 for v in c)),
+                "four 0..255 ints", load=tuple, dump=list)
+_REGION = _Param(lambda r: (isinstance(r, Rect) and r.w > 0 and r.h > 0
+                            and all(is_int(v) for v in (r.x, r.y, r.w, r.h))),
+                 "a non-empty Rect of ints [x, y, w, h]",
+                 load=lambda v: Rect(*v), dump=lambda r: [r.x, r.y, r.w, r.h])
 
 
 @dataclass(frozen=True)
@@ -116,36 +86,41 @@ class EffectSpec:
     def __post_init__(self):
         if not isinstance(self.kind, EffectKind):
             object.__setattr__(self, "kind", EffectKind(self.kind))
-        _validate(self.kind, self.params)
+        schema = _KINDS[self.kind].params
+        unknown = set(self.params) - set(schema)
+        if unknown:
+            raise EffectParamError(f"{self.kind.value}: unexpected parameters {sorted(unknown)}")
+        missing = set(schema) - set(self.params)
+        if missing:
+            raise EffectParamError(f"{self.kind.value}: missing parameters {sorted(missing)}")
+        for name, param in schema.items():
+            if not param.check(self.params[name]):
+                raise param.error(self.kind, name, self.params[name])
 
     def to_json_dict(self) -> dict:
-        out = {"kind": self.kind.value}
-        for key, value in self.params.items():
-            if isinstance(value, Rect):
-                out[key] = [value.x, value.y, value.w, value.h]
-            elif isinstance(value, tuple):
-                out[key] = list(value)
-            else:
-                out[key] = value
-        return out
+        schema = _KINDS[self.kind].params
+        return {"kind": self.kind.value,
+                **{name: schema[name].dump(value) for name, value in self.params.items()}}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "EffectSpec":
-        if "kind" not in data:
-            raise EffectParamError("effect object missing 'kind'")
+    def from_json_dict(cls, data) -> "EffectSpec":
+        if not isinstance(data, dict):
+            raise EffectParamError(f"effect must be an object, got {type(data).__name__}")
         try:
-            kind = EffectKind(data["kind"])
+            kind = EffectKind(data.get("kind"))
         except ValueError:
-            raise EffectParamError(f"unknown effect kind {data['kind']!r}") from None
+            raise EffectParamError(f"unknown effect kind {data.get('kind')!r}") from None
+        schema = _KINDS[kind].params
         params = {}
-        for key, value in data.items():
-            if key == "kind":
+        for name, value in data.items():
+            if name == "kind":
                 continue
-            if key == "region" and isinstance(value, list) and len(value) == 4:
-                value = Rect(*value)
-            elif key == "color" and isinstance(value, list):
-                value = tuple(value)
-            params[key] = value
+            if name in schema:
+                try:
+                    value = schema[name].load(value)
+                except (TypeError, ValueError):
+                    raise schema[name].error(kind, name, value) from None
+            params[name] = value
         return cls(kind, params)
 
 
@@ -255,22 +230,21 @@ def convolve3x3(image: RasterImage, kernel: Kernel3x3) -> RasterImage:
     return RasterImage.from_array(out)
 
 
-def _apply_rgb(image: RasterImage, fn) -> RasterImage:
-    """Run fn on the float RGB planes, quantize, keep alpha."""
-    src = image.array
-    rgb = src[:, :, :3].astype(np.float64)
-    out = np.empty_like(src)
-    out[:, :, :3] = _quantize(fn(rgb))
-    out[:, :, 3] = src[:, :, 3]
-    return RasterImage.from_array(out)
+def _rgb(fn):
+    """Row adapter for kinds that map the float RGB planes: fn(rgb, params)
+    is quantized and alpha is kept."""
+    def apply(image: RasterImage, params: dict) -> RasterImage:
+        src = image.array
+        rgb = src[:, :, :3].astype(np.float64)
+        out = np.empty_like(src)
+        out[:, :, :3] = _quantize(fn(rgb, params))
+        out[:, :, 3] = src[:, :, 3]
+        return RasterImage.from_array(out)
+    return apply
 
 
-def _do_grayscale(image, params):
-    return _apply_rgb(image, lambda rgb: np.repeat(_luma(rgb)[..., None], 3, axis=-1))
-
-
-def _do_invert(image, params):
-    return _apply_rgb(image, lambda rgb: 255.0 - rgb)
+def _gray(rgb, params):
+    return np.repeat(_luma(rgb)[..., None], 3, axis=-1)
 
 
 _SEPIA = np.array([[0.393, 0.769, 0.189],
@@ -278,77 +252,38 @@ _SEPIA = np.array([[0.393, 0.769, 0.189],
                    [0.272, 0.534, 0.131]])
 
 
-def _do_sepia(image, params):
-    return _apply_rgb(image, lambda rgb: rgb @ _SEPIA.T)
+def _hue(rgb, params):
+    h, s, light = _rgb_to_hsl(rgb / 255.0)
+    return _hsl_to_rgb((h + params["degrees"]) % 360.0, s, light) * 255.0
 
 
-def _do_brightness(image, params):
-    delta = params["delta"]
-    return _apply_rgb(image, lambda rgb: rgb + delta)
+def _saturate(rgb, params):
+    h, s, light = _rgb_to_hsl(rgb / 255.0)
+    return _hsl_to_rgb(h, np.clip(s * params["factor"], 0.0, 1.0), light) * 255.0
 
 
-def _do_contrast(image, params):
-    factor = params["factor"]
-    return _apply_rgb(image, lambda rgb: (rgb - 128.0) * factor + 128.0)
+def _blackwhite(rgb, params):
+    mask = _luma(rgb) >= params["threshold"]
+    return np.repeat(np.where(mask, 255.0, 0.0)[..., None], 3, axis=-1)
 
 
-def _do_hue(image, params):
-    degrees = params["degrees"]
-
-    def rotate(rgb):
-        h, s, light = _rgb_to_hsl(rgb / 255.0)
-        return _hsl_to_rgb((h + degrees) % 360.0, s, light) * 255.0
-
-    return _apply_rgb(image, rotate)
-
-
-def _do_saturate(image, params):
-    factor = params["factor"]
-
-    def scale(rgb):
-        h, s, light = _rgb_to_hsl(rgb / 255.0)
-        return _hsl_to_rgb(h, np.clip(s * factor, 0.0, 1.0), light) * 255.0
-
-    return _apply_rgb(image, scale)
-
-
-def _do_blackwhite(image, params):
-    threshold = params["threshold"]
-
-    def binarize(rgb):
-        mask = _luma(rgb) >= threshold
-        return np.repeat(np.where(mask, 255.0, 0.0)[..., None], 3, axis=-1)
-
-    return _apply_rgb(image, binarize)
-
-
-def _do_opacity(image, params):
-    alpha = params["alpha"]
+def _opacity(image, params):
     src = image.array
     out = src.copy()
-    out[:, :, 3] = _quantize(src[:, :, 3].astype(np.float64) * alpha)
+    out[:, :, 3] = _quantize(src[:, :, 3].astype(np.float64) * params["alpha"])
     return RasterImage.from_array(out)
 
 
-def _do_flip_h(image, params):
-    return RasterImage.from_array(image.array[:, ::-1])
-
-
-def _do_flip_v(image, params):
-    return RasterImage.from_array(image.array[::-1, :])
-
-
-def _do_border(image, params):
+def _border(image, params):
     width = params["width"]
-    color = params["color"]
     h, w = image.height, image.width
     out = np.empty((h + 2 * width, w + 2 * width, 4), dtype=np.uint8)
-    out[:, :] = color
+    out[:, :] = params["color"]
     out[width:width + h, width:width + w] = image.array
     return RasterImage.from_array(out)
 
 
-def _do_redeye(image, params):
+def _redeye(image, params):
     region = params["region"].intersect(Rect(0, 0, image.width, image.height))
     out = image.array.copy()
     if not region.is_empty():
@@ -360,24 +295,36 @@ def _do_redeye(image, params):
     return RasterImage.from_array(out)
 
 
-_APPLY = {
-    EffectKind.GRAYSCALE: _do_grayscale,
-    EffectKind.DESATURATE: _do_grayscale,  # same luma replication
-    EffectKind.INVERT: _do_invert,
-    EffectKind.SEPIA: _do_sepia,
-    EffectKind.BRIGHTNESS: _do_brightness,
-    EffectKind.CONTRAST: _do_contrast,
-    EffectKind.HUE: _do_hue,
-    EffectKind.SATURATE: _do_saturate,
-    EffectKind.BLACKWHITE: _do_blackwhite,
-    EffectKind.OPACITY: _do_opacity,
-    EffectKind.BLUR: lambda img, p: convolve3x3(img, BLUR_KERNEL),
-    EffectKind.SHARPEN: lambda img, p: convolve3x3(img, SHARPEN_KERNEL),
-    EffectKind.EMBOSS: lambda img, p: convolve3x3(img, EMBOSS_KERNEL),
-    EffectKind.FLIP_H: _do_flip_h,
-    EffectKind.FLIP_V: _do_flip_v,
-    EffectKind.BORDER: _do_border,
-    EffectKind.REDEYE: _do_redeye,
+class _Kind(NamedTuple):
+    """One registry row: the apply function, the parameter schema, and the
+    pixels `grow` adds on each side of the image (only border adds any)."""
+
+    apply: Callable[[RasterImage, dict], RasterImage]
+    params: dict = {}
+    grow: Callable[[dict], int] = lambda params: 0
+
+
+_KINDS = {
+    EffectKind.GRAYSCALE: _Kind(_rgb(_gray)),
+    EffectKind.INVERT: _Kind(_rgb(lambda rgb, p: 255.0 - rgb)),
+    EffectKind.SEPIA: _Kind(_rgb(lambda rgb, p: rgb @ _SEPIA.T)),
+    EffectKind.BRIGHTNESS: _Kind(_rgb(lambda rgb, p: rgb + p["delta"]),
+                                 {"delta": _number(-255, 255)}),
+    EffectKind.CONTRAST: _Kind(_rgb(lambda rgb, p: (rgb - 128.0) * p["factor"] + 128.0),
+                               {"factor": _number(0)}),
+    EffectKind.HUE: _Kind(_rgb(_hue), {"degrees": _number()}),
+    EffectKind.SATURATE: _Kind(_rgb(_saturate), {"factor": _number(0)}),
+    EffectKind.DESATURATE: _Kind(_rgb(_gray)),  # same luma replication
+    EffectKind.BLACKWHITE: _Kind(_rgb(_blackwhite), {"threshold": _number(0, 255)}),
+    EffectKind.BLUR: _Kind(lambda image, p: convolve3x3(image, BLUR_KERNEL)),
+    EffectKind.SHARPEN: _Kind(lambda image, p: convolve3x3(image, SHARPEN_KERNEL)),
+    EffectKind.EMBOSS: _Kind(lambda image, p: convolve3x3(image, EMBOSS_KERNEL)),
+    EffectKind.OPACITY: _Kind(_opacity, {"alpha": _number(0, 1)}),
+    EffectKind.FLIP_H: _Kind(lambda image, p: RasterImage.from_array(image.array[:, ::-1])),
+    EffectKind.FLIP_V: _Kind(lambda image, p: RasterImage.from_array(image.array[::-1, :])),
+    EffectKind.BORDER: _Kind(_border, {"width": _WIDTH, "color": _COLOR},
+                             grow=lambda p: p["width"]),
+    EffectKind.REDEYE: _Kind(_redeye, {"region": _REGION}),
 }
 
 
@@ -387,7 +334,7 @@ def apply_effect(image: RasterImage, spec: EffectSpec) -> RasterImage:
     Dimensions are preserved except for `border`, which grows the image by
     2*width per axis.
     """
-    return _APPLY[spec.kind](image, spec.params)
+    return _KINDS[spec.kind].apply(image, spec.params)
 
 
 def apply_chain(image: RasterImage, effects) -> RasterImage:
@@ -398,27 +345,23 @@ def apply_chain(image: RasterImage, effects) -> RasterImage:
     return out
 
 
+def _chain_sizes(width: int, height: int, effects):
+    """Image dimensions after each effect of a chain."""
+    for spec in effects:
+        grow = _KINDS[spec.kind].grow(spec.params)
+        width, height = width + 2 * grow, height + 2 * grow
+        yield width, height
+
+
 def chain_pixels(width: int, height: int, effects) -> int:
     """Pixels written when a chain runs on a width x height image.
 
     Each effect writes its full output area; border grows the running
     dimensions for itself and for every later effect.
     """
-    w, h = width, height
-    total = 0
-    for spec in effects:
-        if spec.kind is EffectKind.BORDER:
-            w += 2 * spec.params["width"]
-            h += 2 * spec.params["width"]
-        total += w * h
-    return total
+    return sum(w * h for w, h in _chain_sizes(width, height, effects))
 
 
 def chain_output_size(width: int, height: int, effects) -> tuple[int, int]:
     """Image dimensions after a chain runs (only border changes them)."""
-    w, h = width, height
-    for spec in effects:
-        if spec.kind is EffectKind.BORDER:
-            w += 2 * spec.params["width"]
-            h += 2 * spec.params["width"]
-    return w, h
+    return [(width, height), *_chain_sizes(width, height, effects)][-1]

@@ -1,8 +1,10 @@
-"""Integer rectangles and the rounding rules shared by the whole engine."""
+"""Integer rectangles, and the rounding rules and number checks shared by
+the whole engine."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 
@@ -17,6 +19,18 @@ def round_half_up(value: float) -> int:
 
 def clamp(value, lo, hi):
     return max(lo, min(hi, value))
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool, as in a JSON integer."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """An int or float that converts to a finite float; a bool is not a
+    number, and an int beyond the float range is not finite."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 @dataclass(frozen=True)

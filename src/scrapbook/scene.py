@@ -18,7 +18,7 @@ import json
 from dataclasses import replace
 
 from .effects import EffectParamError, EffectSpec
-from .geometry import Rect
+from .geometry import Rect, is_finite_number, is_int
 from .photo import PhotoObject
 from .zorder import ZOrderArray
 
@@ -144,24 +144,36 @@ def _parse_photo(entry) -> PhotoObject:
     missing = _PHOTO_FIELDS - set(entry)
     if missing:
         raise SceneFormatError(f"photo missing field(s) {sorted(missing)}")
+    for name in ("id", "source"):
+        if not isinstance(entry[name], str):
+            raise SceneFormatError(f"{name} must be a string, got {entry[name]!r}")
+    pid = entry["id"]
     crop = entry["crop"]
     if crop is not None:
-        if not isinstance(crop, list) or len(crop) != 4:
-            raise SceneFormatError(f"crop must be [x, y, w, h] or null, got {crop!r}")
-        try:
-            crop = Rect(*crop)
-        except ValueError as exc:
-            raise SceneFormatError(f"photo {entry['id']!r}: {exc}") from exc
+        if (not isinstance(crop, list) or len(crop) != 4 or not all(map(is_int, crop))
+                or crop[2] <= 0 or crop[3] <= 0):
+            raise SceneFormatError(
+                f"photo {pid!r}: crop must be [x, y, w, h] ints with w, h > 0, or null, "
+                f"got {crop!r}")
+        crop = Rect(*crop)
     center = entry["center"]
-    if not isinstance(center, list) or len(center) != 2:
-        raise SceneFormatError(f"center must be [x, y], got {center!r}")
+    if not isinstance(center, list) or len(center) != 2 or not all(map(is_finite_number, center)):
+        raise SceneFormatError(f"photo {pid!r}: center must be [x, y] numbers, got {center!r}")
+    for name in ("scale", "angle"):
+        if not is_finite_number(entry[name]):
+            raise SceneFormatError(f"photo {pid!r}: {name} must be a finite number, "
+                                   f"got {entry[name]!r}")
+    if not is_int(entry["z"]):
+        raise SceneFormatError(f"photo {pid!r}: z must be an integer, got {entry['z']!r}")
+    if not isinstance(entry["effects"], list):
+        raise SceneFormatError(f"photo {pid!r}: effects must be a list, got {entry['effects']!r}")
     try:
         effects = tuple(EffectSpec.from_json_dict(e) for e in entry["effects"])
     except EffectParamError as exc:
-        raise SceneFormatError(f"photo {entry['id']!r}: {exc}") from exc
+        raise SceneFormatError(f"photo {pid!r}: {exc}") from exc
     try:
         return PhotoObject(
-            id=entry["id"],
+            id=pid,
             source=entry["source"],
             crop=crop,
             scale=entry["scale"],
@@ -170,14 +182,14 @@ def _parse_photo(entry) -> PhotoObject:
             effects=effects,
             z=entry["z"],
         )
-    except (ValueError, TypeError) as exc:
-        raise SceneFormatError(f"photo {entry['id']!r}: {exc}") from exc
+    except ValueError as exc:
+        raise SceneFormatError(f"photo {pid!r}: {exc}") from exc
 
 
 def scene_load(text: str) -> SceneDocument:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SceneFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SceneFormatError("document root must be an object")
@@ -190,8 +202,10 @@ def scene_load(text: str) -> SceneDocument:
     if doc["standard_viewport"] != list(STANDARD_VIEWPORT):
         raise SceneFormatError(f"standard_viewport must be {list(STANDARD_VIEWPORT)}")
     z_base = doc["z_base"]
-    if not isinstance(z_base, int):
+    if not is_int(z_base):
         raise SceneFormatError(f"z_base must be an integer, got {z_base!r}")
+    if not isinstance(doc["photos"], list):
+        raise SceneFormatError(f"photos must be a list, got {type(doc['photos']).__name__}")
     photos = [_parse_photo(entry) for entry in doc["photos"]]
 
     seen_ids = set()

@@ -30,12 +30,16 @@ import binascii
 import json
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from . import effects as fx
-from .backends import BackendKind, Capability, RenderConfig, capability_check
+from . import raster
+from .backends import (BackendKind, Capability, CostReport, RenderConfig,
+                       capability_check, report, supports_chain)
 from .image import PpmError, RasterImage, decode_ppm, encode_ppm, load_ppm
+from .scene import SceneDocument
 
 ERR_UNKNOWN_OP = 4001
 ERR_MALFORMED_ARGS = 4002
@@ -44,6 +48,10 @@ ERR_BAD_IMAGE = 4004
 ERR_INTERNAL = 5001
 
 _STORE_PREFIX = "store:"
+
+# Largest request body the HTTP server reads: far above the base64 of the
+# largest image the repo sends (1280x720 RGB, about 3.7 MB).
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 
 class FailoverError(RuntimeError):
@@ -140,9 +148,10 @@ def _apply_effect_op(envelope: dict, store) -> dict:
     if not isinstance(args, dict) or not isinstance(args.get("effect"), dict):
         return _error(ERR_MALFORMED_ARGS, "args.effect object required")
     effect = args["effect"]
-    kind = effect.get("kind")
-    if kind not in set(k.value for k in fx.EffectKind):
-        return _error(ERR_UNKNOWN_EFFECT, f"unknown effect kind {kind!r}")
+    try:
+        fx.EffectKind(effect.get("kind"))
+    except ValueError:
+        return _error(ERR_UNKNOWN_EFFECT, f"unknown effect kind {effect.get('kind')!r}")
     try:
         spec = fx.EffectSpec.from_json_dict(effect)
     except fx.EffectParamError as exc:
@@ -233,12 +242,12 @@ def bake_chain(backend: BackendKind, image: RasterImage, chain,
     local_pixels = 0
     remote_calls = 0
     for spec in chain:
-        if capability_check(backend, spec.kind) is Capability.SUPPORTED:
-            local_pixels += fx.chain_pixels(out.width, out.height, [spec])
-            out = fx.apply_effect(out, spec)
+        local = capability_check(backend, spec.kind) is Capability.SUPPORTED
+        out = route_effect(backend, out, spec, client)
+        if local:
+            local_pixels += out.width * out.height
         else:
             remote_calls += 1
-            out = route_effect(backend, out, spec, client)
     return out, local_pixels, remote_calls
 
 
@@ -251,12 +260,6 @@ def resolve_scene(backend: BackendKind, scene, sources, client=None,
     Returns (scene, resolver, cost): the cost counts client-side effect
     pixels as work and one remote latency per routed effect.
     """
-    from dataclasses import replace
-
-    from .backends import CostReport, report, supports_chain
-    from .raster import prepare_content
-    from .scene import SceneDocument
-
     baked: dict[str, RasterImage] = {}
     photos = []
     local_pixels = 0
@@ -265,7 +268,7 @@ def resolve_scene(backend: BackendKind, scene, sources, client=None,
         if supports_chain(backend, photo):
             photos.append(photo)
             continue
-        content = prepare_content(replace(photo, effects=()), sources(photo.source))
+        content = raster.prepare_content(replace(photo, effects=()), sources(photo.source))
         result, pixels, calls = bake_chain(backend, content, photo.effects, client)
         local_pixels += pixels
         remote_calls += calls
@@ -294,12 +297,22 @@ class _ApiHandler(BaseHTTPRequestHandler):
         if self.path != "/api":
             self.send_error(404, "only POST /api is served")
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        declared = self.headers.get("Content-Length")
         try:
-            envelope = json.loads(self.rfile.read(length).decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            envelope = None  # dispatch answers 4002 inside the envelope
-        body = json.dumps(dispatch(envelope, self.server.store)).encode("utf-8")
+            length = int(declared)
+        except (TypeError, ValueError):
+            length = -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body is left unread: its length is unknown or too large.
+            response = _error(ERR_MALFORMED_ARGS, "Content-Length must be an integer in "
+                              f"0..{MAX_BODY_BYTES}, got {declared!r}")
+        else:
+            try:
+                envelope = json.loads(self.rfile.read(length).decode("utf-8"))
+            except (ValueError, UnicodeDecodeError, RecursionError):
+                envelope = None  # dispatch answers 4002 inside the envelope
+            response = dispatch(envelope, self.server.store)
+        body = json.dumps(response).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

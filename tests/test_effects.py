@@ -276,6 +276,15 @@ def test_chain_pixel_accounting():
     lambda: fx.redeye(Rect(0, 0, 0, 0)),
     lambda: EffectSpec(EffectKind.HUE, {}),
     lambda: EffectSpec(EffectKind.INVERT, {"degrees": 1}),
+    lambda: fx.border(1, (1, 2, 3, True)),
+    lambda: fx.redeye(Rect(0.5, 0, 1, 2)),
+    lambda: fx.hue(10 ** 400),
+    lambda: EffectSpec.from_json_dict({"kind": "redeye", "region": [0, 0, -1, 2]}),
+    lambda: EffectSpec.from_json_dict({"kind": "redeye", "region": [0, 0, "a", 2]}),
+    lambda: EffectSpec.from_json_dict({"kind": "redeye", "region": [0.5, 0, 1, 2]}),
+    lambda: EffectSpec.from_json_dict({"kind": "border", "width": 1, "color": [1, 2, 3, True]}),
+    lambda: EffectSpec.from_json_dict({"kind": ["x"]}),
+    lambda: EffectSpec.from_json_dict(5),
 ])
 def test_out_of_range_params(bad):
     with pytest.raises(EffectParamError):

@@ -1,0 +1,131 @@
+"""Property-based tests of the parsers that take outside input.
+
+Every generator is derandomized, so each run checks the same examples.
+"""
+
+import copy
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scrapbook import effects as fx
+from scrapbook.effects import EffectKind, EffectParamError, EffectSpec
+from scrapbook.geometry import Rect
+from scrapbook.image import RasterImage
+from scrapbook.photo import PhotoObject
+from scrapbook.scene import SceneDocument, SceneFormatError, scene_load, scene_save
+from scrapbook.service import ERR_INTERNAL, dispatch, encode_image
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
+
+KIND_NAMES = [k.value for k in EffectKind]
+PARAM_NAMES = ["delta", "factor", "degrees", "threshold", "alpha", "width", "color", "region"]
+
+
+def json_values(ints=st.integers()):
+    scalars = (st.none() | st.booleans() | ints | st.floats() | st.text(max_size=6)
+               | st.lists(ints, min_size=4, max_size=4))
+    return st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+        max_leaves=10)
+
+
+def effect_json(values):
+    """Effect objects near the schema (known kinds and parameter names with
+    any values), plus any JSON value at all."""
+    params = st.dictionaries(st.sampled_from(PARAM_NAMES) | st.text(max_size=6),
+                             values, max_size=3)
+    kinds = st.sampled_from(KIND_NAMES) | values
+    return (st.builds(lambda kind, p: {**p, "kind": kind}, kinds, params)
+            | params | values)
+
+
+def valid_specs():
+    number = st.integers(-2 ** 60, 2 ** 60) | st.floats(allow_nan=False, allow_infinity=False)
+    byte = st.integers(0, 255)
+    return st.one_of(
+        st.sampled_from([fx.grayscale(), fx.invert(), fx.sepia(), fx.desaturate(), fx.blur(),
+                         fx.sharpen(), fx.emboss(), fx.flip_h(), fx.flip_v()]),
+        st.builds(fx.brightness, st.integers(-255, 255) | st.floats(-255, 255)),
+        st.builds(fx.contrast, st.floats(0, 1e300)),
+        st.builds(fx.hue, number),
+        st.builds(fx.saturate, st.integers(0, 2 ** 60)),
+        st.builds(fx.blackwhite, st.floats(0, 255)),
+        st.builds(fx.opacity, st.floats(0, 1)),
+        st.builds(fx.border, st.integers(0, 10 ** 6), st.tuples(byte, byte, byte, byte)),
+        st.builds(fx.redeye, st.builds(Rect, st.integers(), st.integers(),
+                                       st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))),
+    )
+
+
+@PROPERTY
+@given(effect_json(json_values()))
+def test_effect_from_json_returns_or_raises_param_error(data):
+    try:
+        EffectSpec.from_json_dict(data)
+    except EffectParamError:
+        pass
+
+
+# Integers stay small here: a valid border of width w allocates (2w+3)^2
+# pixels, and border widths have no upper bound yet.
+_IMAGE = encode_image(RasterImage.filled(3, 2, (200, 40, 30, 255)))
+
+
+@PROPERTY
+@given(effect_json(json_values(st.integers(-300, 300))))
+def test_dispatch_of_any_effect_is_never_internal_failure(effect):
+    response = dispatch({"op": "apply_effect", "args": {"effect": effect}, "image": _IMAGE})
+    assert response["error_code"] != ERR_INTERNAL, response["message"]
+
+
+def _sample_document() -> dict:
+    scene = SceneDocument(z_base=2)
+    scene.add_photo(PhotoObject(id="a", source="a.ppm", center=(10.5, 20.0), scale=1.5,
+                                angle=30.0, effects=(fx.brightness(-12), fx.border(2, (1, 2, 3, 4)))))
+    scene.add_photo(PhotoObject(id="b", source="b.ppm", crop=Rect(5, 5, 30, 30),
+                                effects=(fx.redeye(Rect(1, 2, 3, 4)),)))
+    return json.loads(scene_save(scene))
+
+
+_DOCUMENT = _sample_document()
+
+
+def _paths(value, prefix=()):
+    """Every path of keys and indexes into a JSON value."""
+    yield prefix
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """The sample document with one value anywhere in it replaced."""
+    doc = copy.deepcopy(_DOCUMENT)
+    *parents, last = draw(st.sampled_from(list(_paths(doc))[1:]))
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = draw(json_values())
+    return doc
+
+
+@PROPERTY
+@given(mutated_documents() | json_values())
+def test_scene_load_returns_or_raises_scene_format_error(doc):
+    try:
+        scene_load(json.dumps(doc))
+    except SceneFormatError:
+        pass
+
+
+@PROPERTY
+@given(valid_specs())
+def test_valid_specs_round_trip_through_json_text(spec):
+    text = json.dumps(spec.to_json_dict())
+    assert EffectSpec.from_json_dict(json.loads(text)) == spec

@@ -109,6 +109,15 @@ def test_unknown_fields_rejected():
     lambda d: d["photos"][0].update(scale=-1.0),
     lambda d: d["photos"][0]["effects"].append({"kind": "vortex"}),
     lambda d: d["photos"][0]["effects"].append({"kind": "opacity", "alpha": 9}),
+    lambda d: d["photos"][2]["effects"][0].update(region=[0, 0, -1, 2]),
+    lambda d: d["photos"][0]["effects"].append(5),
+    lambda d: d["photos"][0].update(scale=float("nan")),
+    lambda d: d["photos"][0].update(scale=True),
+    lambda d: d["photos"][0].update(angle=float("inf")),
+    lambda d: d["photos"][0].update(angle=float("-inf")),
+    lambda d: d["photos"][0].update(id=7),
+    lambda d: d["photos"][0].update(source=7),
+    lambda d: d["photos"][0].update(crop=[0, 0, 0, 5]),
 ])
 def test_malformed_documents_rejected(mutate):
     doc = json.loads(scene_save(sample_scene()))
@@ -120,6 +129,11 @@ def test_malformed_documents_rejected(mutate):
 def test_invalid_json_rejected():
     with pytest.raises(SceneFormatError):
         scene_load("{not json")
+
+
+def test_deeply_nested_json_rejected():
+    with pytest.raises(SceneFormatError):
+        scene_load("[" * 100_000)
 
 
 def test_load_normalizes_photo_order_by_z():

@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import urllib.request
 
@@ -60,6 +61,20 @@ def test_unknown_effect_kind():
                          "args": {"effect": {"kind": "vortex"}},
                          "image": encode_image(tiny_image())})
     assert response["error_code"] == ERR_UNKNOWN_EFFECT
+
+
+@pytest.mark.parametrize("effect,code", [
+    ({"kind": "redeye", "region": [0, 0, -1, 2]}, ERR_MALFORMED_ARGS),
+    ({"kind": "redeye", "region": [0, 0, "a", 2]}, ERR_MALFORMED_ARGS),
+    ({"kind": "redeye", "region": [0.5, 0, 1, 2]}, ERR_MALFORMED_ARGS),
+    ({"kind": "border", "width": 1, "color": [1, 2, 3, True]}, ERR_MALFORMED_ARGS),
+    ({"kind": ["x"]}, ERR_UNKNOWN_EFFECT),
+    ({"kind": {"a": 1}}, ERR_UNKNOWN_EFFECT),
+])
+def test_bad_effect_gets_documented_code(effect, code):
+    response = dispatch({"op": "apply_effect", "args": {"effect": effect},
+                         "image": encode_image(tiny_image())})
+    assert response["error_code"] == code
 
 
 def test_undecodable_image():
@@ -223,6 +238,29 @@ def test_http_error_envelope_not_transport_error(server):
         assert resp.status == 200
         body = json.loads(resp.read())
     assert body["error_code"] == ERR_MALFORMED_ARGS
+
+
+def raw_post(srv, head: bytes, body: bytes = b"") -> dict:
+    """POST /api over a bare socket; returns the JSON of a 200 response."""
+    with socket.create_connection(("127.0.0.1", srv.server_address[1]), timeout=5) as sock:
+        sock.sendall(b"POST /api HTTP/1.1\r\nHost: test\r\n" + head + b"\r\n" + body)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    status, _, payload = data.partition(b"\r\n\r\n")
+    assert status.split(b"\r\n")[0].split()[1] == b"200"
+    return json.loads(payload)
+
+
+@pytest.mark.parametrize("head,body", [
+    (b"", b""),
+    (b"Content-Length: abc\r\n", b""),
+    (b"Content-Length: -1\r\n", b""),
+    (b"Content-Length: %d\r\n" % (service.MAX_BODY_BYTES + 1), b""),
+    (b"Content-Length: 100000\r\n", b"[" * 100_000),
+], ids=["missing", "non-integer", "negative", "oversized", "deeply-nested"])
+def test_http_framing_errors_get_envelope(server, head, body):
+    assert raw_post(server, head, body)["error_code"] == ERR_MALFORMED_ARGS
 
 
 def test_http_route_transparency(server, rng):
