@@ -13,17 +13,19 @@ bounding box and an effect application as the pixel area it processes.
 Virtual time is work_units / throughput + a fixed per-operation overhead;
 the wall clock is never consulted.
 
-Per operation and strategy the unit charges are:
+One redraw rule sets the charges: a redraw of a photo list costs the
+clear (raster only, the whole screen) plus each photo's bbox + fx, where fx
+is its effect-chain pixel count.  Raster redraws; retained nodes keep baked
+pixels and recomposite only damaged boxes.  Only a drag frame has its own
+formula.  Per operation and strategy:
 
     operation     raster                          scenegraph / legacy
-    full render   screen + sum(bbox + fx)         sum(bbox + fx)
-    begin drag    screen + statics(bbox + fx)     0
+    full render   redraw of all photos            redraw of all photos
+    begin drag    redraw of the statics           0
     drag frame    old bbox + new bbox + fx        old bbox + new bbox
-    end drag      full render                     bbox at rest
-    attr change   full render of new state        old bbox + new bbox
-
-where fx is the photo's effect-chain pixel count (raster re-applies the
-chain every time it draws; retained nodes keep baked pixels).
+    end drag      redraw of all photos            bbox at rest
+    load          redraw of all photos            redraw of the newest photo
+    attr change   redraw of the new state         old bbox + new bbox
 """
 
 from __future__ import annotations
@@ -34,12 +36,12 @@ from enum import Enum
 from typing import Callable
 
 from .effects import EffectKind
-from .geometry import Rect, outward_bbox
+from .geometry import Rect
 from .image import RasterImage
-from .photo import PhotoObject, display_size, effect_pixels, move_to
-from .raster import Frame, draw_photo, prepare_content
+from .photo import PhotoObject, effect_pixels, move_to
+from .raster import Frame, draw_photo, footprint, prepare_content
 from .scene import SceneDocument
-from .viewport import ScreenSpec, to_screen
+from .viewport import ScreenSpec
 
 
 class BackendKind(str, Enum):
@@ -121,43 +123,31 @@ def report(units: int, config: RenderConfig, frames: int = 1) -> CostReport:
 
 # --- work-unit arithmetic (pure; used by renders and by the harness) ---
 
-def screen_bbox(photo: PhotoObject, screen: ScreenSpec,
-                center=None, angle=None) -> Rect:
+def screen_bbox(photo: PhotoObject, screen: ScreenSpec, center=None) -> Rect:
     """Outward-rounded screen box of the photo, optionally at an
-    overridden centre or angle."""
-    dw, dh = display_size(photo)
-    scale = float(screen.scale)
-    cx, cy = to_screen(screen, center if center is not None else photo.center)
-    return outward_bbox(float(cx), float(cy), dw * scale, dh * scale,
-                        photo.angle if angle is None else angle)
+    overridden centre: the pixels one draw may touch."""
+    return footprint(photo, screen, center)[4]
 
 
-def draw_units(photo: PhotoObject, screen: ScreenSpec, center=None, angle=None) -> int:
-    return screen_bbox(photo, screen, center, angle).area
+def draw_units(photo: PhotoObject, screen: ScreenSpec, center=None) -> int:
+    return screen_bbox(photo, screen, center).area
+
+
+def redraw_units(backend: BackendKind, photos, screen: ScreenSpec) -> int:
+    """The one redraw rule: the clear (raster only) plus each photo's box
+    and effect-chain pixels."""
+    units = 0 if backend.retained else screen.width * screen.height
+    return units + sum(draw_units(p, screen) + effect_pixels(p) for p in photos)
 
 
 def render_units(backend: BackendKind, scene: SceneDocument, screen: ScreenSpec) -> int:
-    """Full render: clear (raster only) plus every photo's draw and chain."""
-    units = 0 if backend.retained else screen.width * screen.height
-    for photo in scene.photos:
-        units += draw_units(photo, screen) + effect_pixels(photo)
-    return units
-
-
-def begin_units(backend: BackendKind, scene: SceneDocument, screen: ScreenSpec,
-                photo_id: str) -> int:
-    """Raster renders the static layer once; retained nodes just detach."""
-    if backend.retained:
-        return 0
-    units = screen.width * screen.height
-    for photo in scene.photos:
-        if photo.id != photo_id:
-            units += draw_units(photo, screen) + effect_pixels(photo)
-    return units
+    return redraw_units(backend, scene.photos, screen)
 
 
 def update_units(backend: BackendKind, photo: PhotoObject, screen: ScreenSpec,
                  old_center, new_center) -> int:
+    """A drag frame: the box left and the box entered; raster also
+    re-applies the chain."""
     units = (draw_units(photo, screen, center=old_center)
              + draw_units(photo, screen, center=new_center))
     if not backend.retained:
@@ -165,35 +155,23 @@ def update_units(backend: BackendKind, photo: PhotoObject, screen: ScreenSpec,
     return units
 
 
-def end_units(backend: BackendKind, scene: SceneDocument, screen: ScreenSpec,
-              photo_id: str) -> int:
-    if backend.retained:
-        return draw_units(scene.photo(photo_id), screen)
-    return render_units(backend, scene, screen)
-
-
 def load_units(backend: BackendKind, scene: SceneDocument, screen: ScreenSpec) -> int:
     """Cost of the newest photo appearing (scene already contains it)."""
-    if backend.retained:
-        newest = scene.photos[-1]
-        return draw_units(newest, screen) + effect_pixels(newest)
-    return render_units(backend, scene, screen)
+    photos = scene.photos[-1:] if backend.retained else scene.photos
+    return redraw_units(backend, photos, screen)
 
 
 def attr_change_units(backend: BackendKind, scene: SceneDocument, screen: ScreenSpec,
                       before: PhotoObject, after: PhotoObject) -> int:
     """Cost of mutating one photo's attributes (rotate, crop, effect, ...).
 
-    Raster re-renders the whole updated scene; retained strategies
+    Raster redraws the whole updated scene; retained strategies
     recomposite the damaged region: the photo's box before and after.
     """
     if backend.retained:
         return draw_units(before, screen) + draw_units(after, screen)
-    units = screen.width * screen.height
-    for photo in scene.photos:
-        current = after if photo.id == before.id else photo
-        units += draw_units(current, screen) + effect_pixels(current)
-    return units
+    return redraw_units(backend, [after if p.id == before.id else p for p in scene.photos],
+                        screen)
 
 
 # --- pixel-producing entry points ---
@@ -244,14 +222,14 @@ class InteractionSession:
         self.center = self.photo.center
         self.closed = False
         self._content = prepare_content(self.photo, sources(self.photo.source))
+        statics = [p for p in scene.draw_order() if p.id != photo_id]
         self._bg = Frame(screen.width, screen.height)
-        for other in scene.draw_order():
-            if other.id != photo_id:
-                draw_photo(self._bg, other, prepare_content(other, sources(other.source)),
-                           screen)
+        for other in statics:
+            draw_photo(self._bg, other, prepare_content(other, sources(other.source)), screen)
         self._work = self._bg.copy()
         draw_photo(self._work, self.photo, self._content, screen)
-        units = begin_units(backend, scene, screen, photo_id)
+        # Raster renders the static layer once; retained nodes just detach.
+        units = 0 if backend.retained else redraw_units(backend, statics, screen)
         self.begin_cost = report(units, config, frames=0 if backend.retained else 1)
         scene._active_session = self
 
@@ -275,7 +253,7 @@ class InteractionSession:
             raise SessionError("session already ended")
         units = update_units(self.backend, self.photo, self.screen,
                              self.center, new_center)
-        self._restore_background(screen_bbox(self.photo, self.screen, center=self.center))
+        self._restore_background(screen_bbox(self.photo, self.screen, self.center))
         self.center = (float(new_center[0]), float(new_center[1]))
         draw_photo(self._work, move_to(self.photo, *self.center), self._content,
                    self.screen)
@@ -293,11 +271,13 @@ class InteractionSession:
             self.center = (float(final_center[0]), float(final_center[1]))
         self.closed = True
         self.scene._active_session = None
-        self.scene.replace_photo(move_to(self.photo, *self.center))
-        units = end_units(self.backend, self.scene, self.screen, self.photo.id)
-        frame, _ = render_full(self.backend, self.scene, self.sources,
-                               self.screen, self.config)
-        return frame, report(units, self.config)
+        moved = self.scene.replace_photo(move_to(self.photo, *self.center))
+        frame, cost = render_full(self.backend, self.scene, self.sources,
+                                  self.screen, self.config)
+        if self.backend.retained:
+            # Only the box at rest recomposites.
+            cost = report(draw_units(moved, self.screen), self.config)
+        return frame, cost
 
 
 def begin_interaction(backend: BackendKind, scene: SceneDocument,

@@ -10,9 +10,10 @@ from pathlib import Path
 
 from . import bench
 from .backends import BackendKind, RenderConfig, render_full
-from .effects import EffectKind, EffectSpec, apply_effect
-from .image import load_ppm, save_ppm
-from .scene import scene_load
+from .effects import EffectKind, EffectParamError, EffectSpec, apply_effect
+from .image import PpmError, load_ppm, save_ppm
+from .plotting import write_line_chart
+from .scene import SceneFormatError, scene_load
 from .service import DirectoryStore, HttpClient, LocalClient, resolve_scene, serve
 from .viewport import ScreenSpec
 
@@ -97,18 +98,20 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _open_out(path):
-    return open(path, "w", encoding="utf-8", newline="") if path else sys.stdout
+def _write_csv(path, write, rows) -> None:
+    """write(rows, fh) to the file at path, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(rows, fh)
+    else:
+        write(rows, sys.stdout)
 
 
 def _cmd_exp_a(args) -> int:
     backends = args.backend or list(bench.ALL_BACKENDS)
     rows = bench.exp_a_run(backends=backends, throughput=args.throughput,
                            quantize=args.quantize_clock)
-    fh = _open_out(args.csv)
-    bench.write_exp_a_csv(rows, fh)
-    if args.csv:
-        fh.close()
+    _write_csv(args.csv, bench.write_exp_a_csv, rows)
     if args.plot:
         series = {}
         for r in rows:
@@ -118,7 +121,6 @@ def _cmd_exp_a(args) -> int:
             series.setdefault(f"{r.backend}/{r.op}", []).append((w * h, r.virtual_ms))
         for points in series.values():
             points.sort()
-        from .plotting import write_line_chart
         write_line_chart(args.plot, "application time by image area", series,
                          "image pixels", "virtual ms")
     return 0
@@ -129,14 +131,10 @@ def _cmd_exp_b(args) -> int:
     rows = [bench.exp_b_run(args.backend, size, effect=args.effect,
                             throughput=args.throughput, screen_size=args.screen)
             for size in sizes]
-    fh = _open_out(args.csv)
-    bench.write_exp_b_csv(rows, fh)
-    if args.csv:
-        fh.close()
+    _write_csv(args.csv, bench.write_exp_b_csv, rows)
     if args.plot:
         points = sorted((int(r.size.split("x")[0]) * int(r.size.split("x")[1]), r.delta_ms)
                         for r in rows)
-        from .plotting import write_line_chart
         write_line_chart(args.plot, "drag completion delta by photo area",
                          {args.backend.value: points}, "photo pixels", "delta ms")
     return 0
@@ -147,13 +145,9 @@ def _cmd_exp_c(args) -> int:
     result = bench.exp_c_run(args.backend, seed=args.seed, throughput=args.throughput,
                              rules=rules, quantize=args.quantize_clock,
                              screen_size=args.screen)
-    fh = _open_out(args.csv)
-    bench.write_exp_c_csv(result, fh)
-    if args.csv:
-        fh.close()
+    _write_csv(args.csv, bench.write_exp_c_csv, result)
     if args.plot:
         points = [(r.count, r.probe_virtual_ms) for r in result.rows]
-        from .plotting import write_line_chart
         write_line_chart(args.plot, "probe rotation time by loaded photos",
                          {args.backend.value: points}, "photos loaded", "virtual ms")
     return 0
@@ -228,9 +222,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Mistakes in what the user handed over: bad parameters, documents or
+# images, and files that cannot be read or written.
+_USER_ERRORS = (EffectParamError, SceneFormatError, PpmError, OSError, UnicodeDecodeError)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _USER_ERRORS as exc:
+        print(f"scrapbook: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -47,6 +47,12 @@ class EffectParamError(ValueError):
     """Effect parameters outside their documented ranges (a caller bug)."""
 
 
+# The largest image a request body can carry: a body of at most 64 MiB of
+# base64 holds 48 MiB of RGB at 3 bytes a pixel.  An effect may not grow an
+# image past it.
+MAX_IMAGE_PIXELS = 2 ** 24
+
+
 class _Param(NamedTuple):
     """One parameter of a kind: `check` accepts the Python value and `what`
     says what it accepts; `load` and `dump` convert the JSON form where it
@@ -332,8 +338,10 @@ def apply_effect(image: RasterImage, spec: EffectSpec) -> RasterImage:
     """Apply one effect, returning a new image.
 
     Dimensions are preserved except for `border`, which grows the image by
-    2*width per axis.
+    2*width per axis; an output above MAX_IMAGE_PIXELS raises
+    EffectParamError before anything is allocated.
     """
+    chain_output_size(image.width, image.height, (spec,))
     return _KINDS[spec.kind].apply(image, spec.params)
 
 
@@ -346,10 +354,14 @@ def apply_chain(image: RasterImage, effects) -> RasterImage:
 
 
 def _chain_sizes(width: int, height: int, effects):
-    """Image dimensions after each effect of a chain."""
+    """Image dimensions after each effect of a chain; growth past
+    MAX_IMAGE_PIXELS is refused."""
     for spec in effects:
         grow = _KINDS[spec.kind].grow(spec.params)
         width, height = width + 2 * grow, height + 2 * grow
+        if grow and width * height > MAX_IMAGE_PIXELS:
+            raise EffectParamError(f"{spec.kind.value}: output {width}x{height} exceeds "
+                                   f"{MAX_IMAGE_PIXELS} pixels")
         yield width, height
 
 

@@ -17,10 +17,6 @@ def round_half_up(value: float) -> int:
     return math.floor(value + 0.5)
 
 
-def clamp(value, lo, hi):
-    return max(lo, min(hi, value))
-
-
 def is_int(value) -> bool:
     """An int that is not a bool, as in a JSON integer."""
     return isinstance(value, int) and not isinstance(value, bool)

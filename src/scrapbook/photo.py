@@ -43,7 +43,6 @@ class PhotoObject:
     angle: float = 0.0
     center: tuple[float, float] = (0.0, 0.0)
     effects: tuple[EffectSpec, ...] = ()
-    z: int = 0
 
     def __post_init__(self):
         if self.scale <= 0:

@@ -70,9 +70,6 @@ class Frame:
         other.rgb = self.rgb.copy()
         return other
 
-    def clear(self) -> None:
-        self.rgb[:, :] = 255
-
     def to_image(self) -> RasterImage:
         out = np.empty((self.height, self.width, 4), dtype=np.uint8)
         out[:, :, :3] = self.rgb
@@ -126,19 +123,25 @@ def _edge_span(a: float, b: np.ndarray, size: float, eps: float):
     return (lo, hi) if a > 0 else (hi, lo)
 
 
+def footprint(photo: PhotoObject, screen: ScreenSpec, center=None):
+    """Where a draw lands: screen centre (cx, cy), scaled size (sw, sh) and
+    the outward-rounded box of the rotated rectangle, optionally at an
+    overridden centre.  The box bounds every pixel draw_photo writes and is
+    what the cost model charges for one draw."""
+    dw, dh = display_size(photo)
+    scale = float(screen.scale)
+    cx, cy = to_screen(screen, photo.center if center is None else center)
+    cx, cy, sw, sh = float(cx), float(cy), dw * scale, dh * scale
+    return cx, cy, sw, sh, outward_bbox(cx, cy, sw, sh, photo.angle)
+
+
 def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
                screen: ScreenSpec) -> None:
     """Composite prepared content onto the frame at the photo's transform.
 
     Pixels outside the rotated footprint are untouched.
     """
-    dw, dh = display_size(photo)
-    scale = float(screen.scale)
-    sw, sh = dw * scale, dh * scale
-    cx, cy = to_screen(screen, photo.center)
-    cx, cy = float(cx), float(cy)
-
-    bbox = outward_bbox(cx, cy, sw, sh, photo.angle)
+    cx, cy, sw, sh, bbox = footprint(photo, screen)
     clip = bbox.intersect(Rect(0, 0, frame.width, frame.height))
     if clip.is_empty():
         return

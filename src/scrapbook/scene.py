@@ -8,14 +8,15 @@ The document format is UTF-8 JSON with exactly these fields:
                  "scale": num, "angle": num, "center": [x, y],
                  "effects": [{"kind": str, ...}], "z": int}]}
 
-Photos are kept back-to-front; the photo at list position i always has
-z = z_base + i.  save/load round-trips are lossless.
+Photos are kept back-to-front, and list position is the only z-order held
+in memory: save writes z = z_base + i for the photo at position i, and
+load reads each z only to validate it and to order the photos.
+save/load round-trips are lossless.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 from .effects import EffectParamError, EffectSpec
 from .geometry import Rect, is_finite_number, is_int
@@ -70,26 +71,23 @@ class SceneDocument:
         raise KeyError(photo_id)
 
     def add_photo(self, photo: PhotoObject) -> PhotoObject:
-        """Append front-most; the z-index is assigned by position."""
+        """Append front-most."""
         if any(p.id == photo.id for p in self.photos):
             raise DuplicateIdError(f"photo id {photo.id!r} already in scene")
-        stored = replace(photo, z=self.z_base + len(self.photos))
-        self.photos.append(stored)
-        return stored
+        self.photos.append(photo)
+        return photo
 
     def replace_photo(self, photo: PhotoObject) -> PhotoObject:
-        """Swap the entry with the same id, keeping its z position."""
+        """Swap the entry with the same id, keeping its position."""
         for i, p in enumerate(self.photos):
             if p.id == photo.id:
-                stored = replace(photo, z=p.z)
-                self.photos[i] = stored
-                return stored
+                self.photos[i] = photo
+                return photo
         raise KeyError(photo.id)
 
     def _reorder(self, order: ZOrderArray) -> None:
         by_id = {p.id: p for p in self.photos}
-        self.photos = [replace(by_id[pid], z=self.z_base + i)
-                       for i, pid in enumerate(order.draw_order())]
+        self.photos = [by_id[pid] for pid in order.draw_order()]
 
     def zorder(self) -> ZOrderArray:
         return ZOrderArray(self.z_base, self.ids())
@@ -112,7 +110,7 @@ _PHOTO_FIELDS = {"id", "source", "crop", "scale", "angle", "center", "effects", 
 _SCENE_FIELDS = {"standard_viewport", "z_base", "photos"}
 
 
-def _photo_to_dict(photo: PhotoObject) -> dict:
+def _photo_to_dict(photo: PhotoObject, z: int) -> dict:
     crop = photo.crop
     return {
         "id": photo.id,
@@ -122,7 +120,7 @@ def _photo_to_dict(photo: PhotoObject) -> dict:
         "angle": photo.angle,
         "center": [photo.center[0], photo.center[1]],
         "effects": [spec.to_json_dict() for spec in photo.effects],
-        "z": photo.z,
+        "z": z,
     }
 
 
@@ -130,12 +128,13 @@ def scene_save(scene: SceneDocument) -> str:
     doc = {
         "standard_viewport": list(scene.standard_viewport),
         "z_base": scene.z_base,
-        "photos": [_photo_to_dict(p) for p in scene.photos],
+        "photos": [_photo_to_dict(p, scene.z_base + i) for i, p in enumerate(scene.photos)],
     }
     return json.dumps(doc, indent=2)
 
 
-def _parse_photo(entry) -> PhotoObject:
+def _parse_photo(entry) -> tuple[int, PhotoObject]:
+    """The entry's z and its photo."""
     if not isinstance(entry, dict):
         raise SceneFormatError(f"photo entry must be an object, got {type(entry).__name__}")
     unknown = set(entry) - _PHOTO_FIELDS
@@ -172,7 +171,7 @@ def _parse_photo(entry) -> PhotoObject:
     except EffectParamError as exc:
         raise SceneFormatError(f"photo {pid!r}: {exc}") from exc
     try:
-        return PhotoObject(
+        return entry["z"], PhotoObject(
             id=pid,
             source=entry["source"],
             crop=crop,
@@ -180,7 +179,6 @@ def _parse_photo(entry) -> PhotoObject:
             angle=entry["angle"],
             center=(float(center[0]), float(center[1])),
             effects=effects,
-            z=entry["z"],
         )
     except ValueError as exc:
         raise SceneFormatError(f"photo {pid!r}: {exc}") from exc
@@ -206,21 +204,20 @@ def scene_load(text: str) -> SceneDocument:
         raise SceneFormatError(f"z_base must be an integer, got {z_base!r}")
     if not isinstance(doc["photos"], list):
         raise SceneFormatError(f"photos must be a list, got {type(doc['photos']).__name__}")
-    photos = [_parse_photo(entry) for entry in doc["photos"]]
+    parsed = [_parse_photo(entry) for entry in doc["photos"]]
 
     seen_ids = set()
-    for p in photos:
+    for _, p in parsed:
         if p.id in seen_ids:
             raise DuplicateIdError(f"duplicate photo id {p.id!r}")
         seen_ids.add(p.id)
-    z_values = [p.z for p in photos]
+    z_values = sorted(z for z, _ in parsed)
     if len(set(z_values)) != len(z_values):
-        raise DuplicateZError(f"duplicate z-index in {sorted(z_values)}")
-    expected = list(range(z_base, z_base + len(photos)))
-    if sorted(z_values) != expected:
-        raise NonContiguousZError(
-            f"z-indexes {sorted(z_values)} are not the contiguous set {expected}")
+        raise DuplicateZError(f"duplicate z-index in {z_values}")
+    expected = list(range(z_base, z_base + len(parsed)))
+    if z_values != expected:
+        raise NonContiguousZError(f"z-indexes {z_values} are not the contiguous set {expected}")
 
     scene = SceneDocument(z_base=z_base)
-    scene.photos = sorted(photos, key=lambda p: p.z)
+    scene.photos = [p for _, p in sorted(parsed, key=lambda zp: zp[0])]
     return scene

@@ -49,9 +49,9 @@ ERR_INTERNAL = 5001
 
 _STORE_PREFIX = "store:"
 
-# Largest request body the HTTP server reads: far above the base64 of the
-# largest image the repo sends (1280x720 RGB, about 3.7 MB).
-MAX_BODY_BYTES = 64 * 1024 * 1024
+# Largest request body the HTTP server reads, 64 MiB: the base64 of the
+# largest image an effect may produce, far above what the repo sends.
+MAX_BODY_BYTES = fx.MAX_IMAGE_PIXELS * 3 * 4 // 3
 
 
 class FailoverError(RuntimeError):
@@ -159,7 +159,10 @@ def _apply_effect_op(envelope: dict, store) -> dict:
     image = _resolve_image(envelope.get("image"), store)
     if isinstance(image, dict):
         return image
-    result = fx.apply_effect(image, spec)
+    try:
+        result = fx.apply_effect(image, spec)
+    except fx.EffectParamError as exc:  # output too large for the image
+        return _error(ERR_MALFORMED_ARGS, str(exc))
     return _ok({"image": encode_image(result)})
 
 

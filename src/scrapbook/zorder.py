@@ -30,12 +30,6 @@ class ZOrderArray:
         for photo_id in ids:
             self.insert(photo_id)
 
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __contains__(self, photo_id: str) -> bool:
-        return photo_id in self._ids
-
     def insert(self, photo_id: str) -> None:
         """Add a photo at the front-most position.
 

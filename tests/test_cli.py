@@ -122,3 +122,58 @@ def test_unknown_backend_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["exp-b", "--backend", "opengl"])
     assert "backend must be one of" in capsys.readouterr().err
+
+
+def _user_error(capsys, argv) -> str:
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("scrapbook: error: ") and err.count("\n") == 1
+    return err
+
+
+def test_bad_effect_param_is_one_line_error(tmp_path, capsys):
+    src = tmp_path / "in.ppm"
+    save_ppm(RasterImage.filled(8, 6, (10, 20, 30, 255)), src)
+    err = _user_error(capsys, ["effects", "apply", "--op", "redeye",
+                               "--param", "region=1,1,-3,3",
+                               "--in", str(src), "--out", str(tmp_path / "out.ppm")])
+    assert "region" in err
+    _user_error(capsys, ["effects", "apply", "--op", "border", "--param", "width=1000000",
+                         "--param", "color=1,2,3,255",
+                         "--in", str(src), "--out", str(tmp_path / "out.ppm")])
+
+
+@pytest.mark.parametrize("content", [b"P5\n1 1\n255\n\x00", b"P6\n4 4\n255\n\x00", b""])
+def test_bad_input_image_is_one_line_error(tmp_path, capsys, content):
+    src = tmp_path / "in.ppm"
+    src.write_bytes(content)
+    _user_error(capsys, ["effects", "apply", "--op", "invert",
+                         "--in", str(src), "--out", str(tmp_path / "out.ppm")])
+
+
+def test_missing_input_file_is_one_line_error(tmp_path, capsys):
+    err = _user_error(capsys, ["effects", "apply", "--op", "invert",
+                               "--in", str(tmp_path / "nope.ppm"),
+                               "--out", str(tmp_path / "out.ppm")])
+    assert "nope.ppm" in err
+    _user_error(capsys, ["render", "--scene", str(tmp_path / "nope.json"),
+                         "--backend", "raster", "--out", str(tmp_path / "f.ppm")])
+
+
+@pytest.mark.parametrize("text", ['{"photos": 3}', "not json", '{"standard_viewport": ['])
+def test_malformed_scene_is_one_line_error(tmp_path, capsys, text):
+    scene = tmp_path / "scene.json"
+    scene.write_text(text, encoding="utf-8")
+    _user_error(capsys, ["render", "--scene", str(scene), "--backend", "raster",
+                         "--out", str(tmp_path / "f.ppm")])
+
+
+def test_undecodable_scene_and_missing_source_are_one_line_errors(tmp_path, rng, capsys):
+    scene = tmp_path / "scene.json"
+    scene.write_bytes(b"\xff\xfe\x00{")
+    _user_error(capsys, ["render", "--scene", str(scene), "--backend", "raster",
+                         "--out", str(tmp_path / "f.ppm")])
+    write_scene_fixture(tmp_path, rng)
+    (tmp_path / "photo.ppm").unlink()
+    _user_error(capsys, ["render", "--scene", str(tmp_path / "scene.json"),
+                         "--backend", "raster", "--out", str(tmp_path / "f.ppm")])

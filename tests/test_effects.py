@@ -262,6 +262,19 @@ def test_chain_pixel_accounting():
     assert chain_pixels(10, 10, []) == 0
 
 
+def test_border_output_limited_before_allocation():
+    edge = 1 << 12  # a 4096x4096 output is exactly MAX_IMAGE_PIXELS
+    assert edge * edge == fx.MAX_IMAGE_PIXELS
+    one = [fx.border(1, (0, 0, 0, 255))]
+    assert chain_output_size(edge - 2, edge - 2, one) == (edge, edge)
+    with pytest.raises(EffectParamError):
+        chain_output_size(edge - 1, edge - 2, one)
+    with pytest.raises(EffectParamError):
+        chain_pixels(2, 2, [fx.border(10 ** 12, (0, 0, 0, 255))])
+    with pytest.raises(EffectParamError):
+        apply_effect(RasterImage.filled(2, 2), fx.border(10 ** 12, (0, 0, 0, 255)))
+
+
 # --- parameter validation --------------------------------------------------
 
 @pytest.mark.parametrize("bad", [

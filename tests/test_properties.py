@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scrapbook import effects as fx
 from scrapbook.effects import EffectKind, EffectParamError, EffectSpec
 from scrapbook.geometry import Rect
-from scrapbook.image import RasterImage
+from scrapbook.image import PpmError, RasterImage, decode_ppm
 from scrapbook.photo import PhotoObject
 from scrapbook.scene import SceneDocument, SceneFormatError, scene_load, scene_save
 from scrapbook.service import ERR_INTERNAL, dispatch, encode_image
@@ -70,13 +70,24 @@ def test_effect_from_json_returns_or_raises_param_error(data):
         pass
 
 
-# Integers stay small here: a valid border of width w allocates (2w+3)^2
-# pixels, and border widths have no upper bound yet.
 _IMAGE = encode_image(RasterImage.filled(3, 2, (200, 40, 30, 255)))
+
+# Small integers and integers of any size from 2**12 up: a border of width
+# 2**12 or more on the 3x2 image passes effects.MAX_IMAGE_PIXELS and must be
+# refused before allocating.  Widths in between are valid and only slow.
+_DISPATCH_INTS = (st.integers(-300, 300) | st.integers(min_value=1 << 12)
+                  | st.integers(max_value=-(1 << 12)))
+
+
+def borders(widths):
+    """Border objects with a valid colour, so that the width decides."""
+    color = st.lists(st.integers(0, 255), min_size=4, max_size=4)
+    return st.fixed_dictionaries({"kind": st.just("border"), "width": widths,
+                                  "color": color})
 
 
 @PROPERTY
-@given(effect_json(json_values(st.integers(-300, 300))))
+@given(effect_json(json_values(_DISPATCH_INTS)) | borders(_DISPATCH_INTS))
 def test_dispatch_of_any_effect_is_never_internal_failure(effect):
     response = dispatch({"op": "apply_effect", "args": {"effect": effect}, "image": _IMAGE})
     assert response["error_code"] != ERR_INTERNAL, response["message"]
@@ -129,3 +140,27 @@ def test_scene_load_returns_or_raises_scene_format_error(doc):
 def test_valid_specs_round_trip_through_json_text(spec):
     text = json.dumps(spec.to_json_dict())
     assert EffectSpec.from_json_dict(json.loads(text)) == spec
+
+
+def _header_token():
+    numbers = st.integers(-2, 6) | st.sampled_from([255, 256, 65535, 10 ** 30])
+    return numbers.map(lambda v: b"%d" % v) | st.sampled_from(
+        [b"", b"x", b"+3", b"1_0", b"4.0", b"\xff", b"\x00"])
+
+
+@st.composite
+def near_ppm(draw):
+    """A P6 magic, three header fields near the valid ones, any separators
+    and comments, then a payload of any length up to a few pixels."""
+    sep = st.sampled_from([b" ", b"\n", b"\t\r", b"#c\n", b" # x\n ", b"#", b""])
+    header = b"P6" + b"".join(draw(sep) + draw(_header_token()) for _ in range(3))
+    return header + draw(sep) + draw(st.binary(max_size=120))
+
+
+@PROPERTY
+@given(near_ppm() | st.binary(max_size=64))
+def test_decode_ppm_returns_or_raises_ppm_error(data):
+    try:
+        decode_ppm(data)
+    except PpmError:
+        pass

@@ -33,7 +33,7 @@ def test_three_photo_round_trip():
     scene = sample_scene()
     loaded = scene_load(scene_save(scene))
     assert loaded == scene
-    assert [p.z for p in loaded.photos] == [3, 4, 5]
+    assert list(loaded.zorder().z_values().values()) == [3, 4, 5]
     # centres survive exactly, including fractional values
     assert loaded.photos[0].center == (100.5, 200.25)
 
@@ -53,7 +53,7 @@ def test_add_photo_assigns_contiguous_z():
     scene = SceneDocument(z_base=7)
     for name in "xyz":
         scene.add_photo(PhotoObject(id=name, source="s"))
-    assert [p.z for p in scene.photos] == [7, 8, 9]
+    assert list(scene.zorder().z_values().values()) == [7, 8, 9]
     with pytest.raises(DuplicateIdError):
         scene.add_photo(PhotoObject(id="x", source="s"))
 
@@ -62,7 +62,7 @@ def test_scene_reorder_rewrites_z():
     scene = sample_scene()
     scene.bring_to_front("a")
     assert scene.ids() == ["b", "c", "a"]
-    assert [p.z for p in scene.photos] == [3, 4, 5]
+    assert [e["z"] for e in json.loads(scene_save(scene))["photos"]] == [3, 4, 5]
     scene.send_to_back("a")
     assert scene.ids() == ["a", "b", "c"]
 

@@ -70,6 +70,7 @@ def test_unknown_effect_kind():
     ({"kind": "border", "width": 1, "color": [1, 2, 3, True]}, ERR_MALFORMED_ARGS),
     ({"kind": ["x"]}, ERR_UNKNOWN_EFFECT),
     ({"kind": {"a": 1}}, ERR_UNKNOWN_EFFECT),
+    ({"kind": "border", "width": 10 ** 12, "color": [1, 2, 3, 255]}, ERR_MALFORMED_ARGS),
 ])
 def test_bad_effect_gets_documented_code(effect, code):
     response = dispatch({"op": "apply_effect", "args": {"effect": effect},
