@@ -240,8 +240,8 @@ class InteractionSession:
     def _restore_background(self, box: Rect) -> None:
         clip = box.intersect(Rect(0, 0, self.screen.width, self.screen.height))
         if not clip.is_empty():
-            self._work.rgb[clip.y:clip.y2, clip.x:clip.x2] = \
-                self._bg.rgb[clip.y:clip.y2, clip.x:clip.x2]
+            self._work.array[clip.y:clip.y2, clip.x:clip.x2] = \
+                self._bg.array[clip.y:clip.y2, clip.x:clip.x2]
 
     def update(self, new_center) -> tuple[Frame, CostReport]:
         """Move the interactive photo; only the damaged boxes recomposite.

@@ -12,6 +12,7 @@ from . import bench
 from .backends import BackendKind, RenderConfig, render_full
 from .effects import EffectKind, EffectParamError, EffectSpec, apply_effect
 from .image import PpmError, load_ppm, save_ppm
+from .photo import PhotoError
 from .plotting import write_line_chart
 from .scene import SceneFormatError, scene_load
 from .service import DirectoryStore, HttpClient, LocalClient, resolve_scene, serve
@@ -84,7 +85,7 @@ def _cmd_render(args) -> int:
                                                   client, config)
     frame, cost = render_full(args.backend, scene, sources, screen, config)
     cost = cost + failover_cost
-    save_ppm(frame.to_image(), args.out)
+    save_ppm(frame, args.out)
     if args.cost:
         with open(args.cost, "w", encoding="utf-8") as fh:
             fh.write("work_units,virtual_ms,frames\n")
@@ -211,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_c = sub.add_parser("exp-c", help="load simulation until a stop rule")
     p_c.add_argument("--backend", type=_backend, required=True)
-    p_c.add_argument("--seed", type=int, default=0)
+    p_c.add_argument("--seed", type=int, default=0,
+                     help="placement seed; every photo lands fully on screen and is "
+                          "charged its whole box, so the CSV is the same for any seed")
     p_c.add_argument("--max-photos", type=int, default=100)
     p_c.add_argument("--screen", type=_parse_size, default=(1920, 1200))
     p_c.add_argument("--quantize-clock", type=float, default=None, metavar="MS")
@@ -224,7 +227,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Mistakes in what the user handed over: bad parameters, documents or
 # images, and files that cannot be read or written.
-_USER_ERRORS = (EffectParamError, SceneFormatError, PpmError, OSError, UnicodeDecodeError)
+_USER_ERRORS = (EffectParamError, SceneFormatError, PhotoError, PpmError, OSError,
+                UnicodeDecodeError)
 
 
 def main(argv=None) -> int:

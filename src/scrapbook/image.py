@@ -1,6 +1,6 @@
 """RGBA8 raster images and the binary PPM (P6) codec.
 
-Images are row-major RGBA byte buffers with straight (non-premultiplied)
+Images are row-major RGBA8 numpy arrays with straight (non-premultiplied)
 alpha.  P6 is the required interchange format: it is bit-exact, trivial to
 parse and carries no alpha, so saving drops alpha and loading sets it to
 255 everywhere.
@@ -32,21 +32,27 @@ class PpmTruncatedError(PpmError):
 
 
 class RasterImage:
-    """Owned width x height grid of RGBA8 samples."""
+    """Owned width x height grid of RGBA8 samples.
 
-    __slots__ = ("width", "height", "data")
+    The pixels live in one C-contiguous (height, width, 4) uint8 `array`
+    that nothing else aliases; `data` and `packed` are views of it.  `data`,
+    when given, is width*height*4 bytes of row-major RGBA and is copied.
+    """
+
+    __slots__ = ("width", "height", "array")
 
     def __init__(self, width: int, height: int, data: bytearray | bytes | None = None):
         if width <= 0 or height <= 0:
             raise ValueError(f"image dimensions must be positive, got {width}x{height}")
         expected = width * height * 4
         if data is None:
-            data = bytearray(expected)
+            self.array = np.zeros((height, width, 4), dtype=np.uint8)
         elif len(data) != expected:
             raise ValueError(f"pixel buffer length {len(data)} != {expected}")
+        else:
+            self.array = np.frombuffer(data, dtype=np.uint8).reshape(height, width, 4).copy()
         self.width = width
         self.height = height
-        self.data = bytearray(data)
 
     @classmethod
     def filled(cls, width: int, height: int, rgba=(0, 0, 0, 255)) -> "RasterImage":
@@ -56,38 +62,39 @@ class RasterImage:
 
     @classmethod
     def from_array(cls, arr: np.ndarray) -> "RasterImage":
-        """Build from an (h, w, 4) uint8 array; the data is copied."""
-        if arr.ndim != 3 or arr.shape[2] != 4 or arr.dtype != np.uint8:
-            raise ValueError(f"expected (h, w, 4) uint8 array, got {arr.shape} {arr.dtype}")
-        h, w = arr.shape[:2]
-        return cls(w, h, bytearray(arr.tobytes()))
+        """Build from a non-empty (h, w, 4) uint8 array, copied once."""
+        if arr.ndim != 3 or arr.shape[2] != 4 or arr.dtype != np.uint8 or 0 in arr.shape:
+            raise ValueError(f"expected non-empty (h, w, 4) uint8 array, "
+                             f"got {arr.shape} {arr.dtype}")
+        img = cls.__new__(cls)
+        img.height, img.width = arr.shape[:2]
+        img.array = np.array(arr, order="C")
+        return img
 
     @property
-    def array(self) -> np.ndarray:
-        """Writable (h, w, 4) uint8 view onto the pixel buffer."""
-        return np.frombuffer(self.data, dtype=np.uint8).reshape(self.height, self.width, 4)
+    def data(self) -> np.ndarray:
+        """Flat uint8 view of the pixels, row-major RGBA."""
+        return self.array.reshape(-1)
 
     @property
     def packed(self) -> np.ndarray:
         """Writable (h, w) uint32 view: one element per RGBA pixel."""
-        return np.frombuffer(self.data, dtype=np.uint32).reshape(self.height, self.width)
+        return self.array.view(np.uint32)[..., 0]
 
     def get_pixel(self, x: int, y: int) -> tuple[int, int, int, int]:
-        i = (y * self.width + x) * 4
-        return tuple(self.data[i:i + 4])
+        return tuple(self.array[y, x].tolist())
 
     def set_pixel(self, x: int, y: int, rgba) -> None:
-        i = (y * self.width + x) * 4
-        self.data[i:i + 4] = bytes(rgba)
+        self.array[y, x] = rgba
 
     def copy(self) -> "RasterImage":
-        return RasterImage(self.width, self.height, bytearray(self.data))
+        """An independent image of the same type and pixels."""
+        return self.from_array(self.array)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RasterImage):
             return NotImplemented
-        return (self.width == other.width and self.height == other.height
-                and self.data == other.data)
+        return np.array_equal(self.array, other.array)
 
     def __repr__(self) -> str:
         return f"RasterImage({self.width}x{self.height})"

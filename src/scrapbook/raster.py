@@ -26,9 +26,10 @@ and the exact `inside` test, not the span, decides which pixels are
 written.  A span that is too wide costs a few evaluations and can never
 change a pixel, so frames are bit-identical to the full-grid form.
 
-Texels are gathered through the image's packed uint32 view (one 4-byte
-read per pixel) and written through a 3-byte view of the frame.  Nothing
-is cached between calls: the rasterizer is reentrant.
+The frame is an opaque RasterImage, so texels and frame pixels share one
+layout: both are read and written through packed uint32 views, one 4-byte
+element per pixel.  Nothing is cached between calls: the rasterizer is
+reentrant.
 """
 
 from __future__ import annotations
@@ -40,73 +41,57 @@ import numpy as np
 from .effects import apply_chain
 from .geometry import Rect, outward_bbox
 from .image import RasterImage
-from .photo import PhotoObject, display_size, source_rect
+from .photo import EmptyCropError, PhotoObject, display_size, source_rect
 from .viewport import ScreenSpec, to_screen
 
 # Packed texels whose alpha byte is 255; the mask is built from bytes so it
 # holds on either byte order.
 _OPAQUE = np.frombuffer(bytes((0, 0, 0, 255)), dtype=np.uint32)[0]
-# One frame pixel as a single 3-byte element.
-_RGB = np.dtype("V3")
 
 
-class Frame:
-    """RGB8 surface at screen resolution; the background is white.
+class Frame(RasterImage):
+    """Opaque RGBA8 surface at screen resolution; the background is white.
 
-    `rgb` is a C-contiguous (height, width, 3) uint8 array.
+    Alpha is 255 everywhere and stays so: an opaque draw copies texels
+    whose alpha is 255, and a blend writes colour only.
+    `rgb` is a writable (height, width, 3) view of the colour channels.
     """
 
-    __slots__ = ("width", "height", "rgb")
+    __slots__ = ()
 
     def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
-        self.rgb = np.full((height, width, 3), 255, dtype=np.uint8)
+        super().__init__(width, height)
+        self.array.fill(255)
 
-    def copy(self) -> "Frame":
-        other = Frame.__new__(Frame)
-        other.width = self.width
-        other.height = self.height
-        other.rgb = self.rgb.copy()
-        return other
-
-    def to_image(self) -> RasterImage:
-        out = np.empty((self.height, self.width, 4), dtype=np.uint8)
-        out[:, :, :3] = self.rgb
-        out[:, :, 3] = 255
-        return RasterImage.from_array(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return (self.width == other.width and self.height == other.height
-                and np.array_equal(self.rgb, other.rgb))
+    @property
+    def rgb(self) -> np.ndarray:
+        return self.array[..., :3]
 
 
 def prepare_content(photo: PhotoObject, source: RasterImage) -> RasterImage:
     """Crop the source and run the effect chain: the photo's texture."""
     rect = source_rect(photo).intersect(Rect(0, 0, source.width, source.height))
     if rect.is_empty():
-        raise ValueError(f"photo {photo.id!r}: crop {photo.crop} outside source")
+        raise EmptyCropError(f"photo {photo.id!r}: crop {photo.crop} outside source")
     cropped = RasterImage.from_array(source.array[rect.y:rect.y2, rect.x:rect.x2])
     return apply_chain(cropped, photo.effects)
 
 
 def _composite(pixels: np.ndarray, at, texels: np.ndarray) -> None:
-    """Source-over packed RGBA texels onto the 3-byte frame pixels `pixels[at]`."""
+    """Source-over packed RGBA texels onto the packed frame pixels `pixels[at]`."""
     if np.bitwise_and.reduce(texels, axis=None) & _OPAQUE == _OPAQUE:
-        # Opaque content: source-over degenerates to an exact texel copy,
-        # three bytes per pixel read straight out of the packed texels.
-        pixels[at] = np.ndarray(texels.shape, dtype=_RGB, buffer=texels,
-                                strides=texels.strides)
+        # Opaque content: source-over degenerates to an exact texel copy.
+        pixels[at] = texels
         return
     shape = texels.shape
     rgba = texels.view(np.uint8).reshape(shape + (4,))
-    dst = np.ascontiguousarray(pixels[at]).view(np.uint8).reshape(shape + (3,))
+    out = np.ascontiguousarray(pixels[at])
+    dst = out.view(np.uint8).reshape(shape + (4,))
     alpha = rgba[..., 3:].astype(np.float64) / 255.0
-    blended = np.floor(rgba[..., :3] * alpha
-                       + dst.astype(np.float64) * (1.0 - alpha) + 0.5)
-    pixels[at] = blended.astype(np.uint8).view(_RGB)[..., 0]
+    # The destination's alpha is already 255; only colour is blended.
+    dst[..., :3] = np.floor(rgba[..., :3] * alpha
+                            + dst[..., :3].astype(np.float64) * (1.0 - alpha) + 0.5)
+    pixels[at] = out
 
 
 def _edge_span(a: float, b: np.ndarray, size: float, eps: float):
@@ -150,7 +135,7 @@ def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     cw, ch = content.width, content.height
     texels = content.packed
-    pixels = frame.rgb.view(_RGB)[..., 0]
+    pixels = frame.packed
 
     if cos_t == 1.0 and sin_t == 0.0:
         # Axis-aligned: row and column lookups separate, no rotation grid.

@@ -21,9 +21,8 @@ import json
 from .effects import EffectParamError, EffectSpec
 from .geometry import Rect, is_finite_number, is_int
 from .photo import PhotoObject
+from .viewport import STANDARD_VIEWPORT
 from .zorder import ZOrderArray
-
-STANDARD_VIEWPORT = (1024, 768)
 
 
 class SceneFormatError(ValueError):

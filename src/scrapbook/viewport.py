@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scene import STANDARD_VIEWPORT
+# The coordinate space every scene document is stored in.
+STANDARD_VIEWPORT = (1024, 768)
 
 
 @dataclass(frozen=True)

@@ -352,3 +352,13 @@ def test_seed_changes_placement_not_cost():
     centers_a = [sim_plan(i, 1).center for i in range(1, 30) if i % 5 != 0]
     centers_b = [sim_plan(i, 2).center for i in range(1, 30) if i % 5 != 0]
     assert centers_a != centers_b
+    # Every photo lands fully on screen and is charged its whole box, so
+    # today the CSV is the same for every seed.  A change to placement or
+    # charging that breaks this must be made on purpose.
+    for backend in bench.ALL_BACKENDS:
+        outs = []
+        for seed in (0, 601):
+            out = io.StringIO()
+            write_exp_c_csv(exp_c_run(backend, seed=seed), out)
+            outs.append(out.getvalue())
+        assert outs[0] == outs[1], backend

@@ -84,7 +84,7 @@ def test_render_fails_over_unsupported_effect_in_process(tmp_path, rng):
                  "--out", str(out)]) == 0
     reference, _ = render_full(BackendKind.RASTER, scene, lambda k: img,
                                ScreenSpec.fit(200, 150))
-    assert load_ppm(out) == reference.to_image()
+    assert load_ppm(out) == reference
 
 
 def test_exp_a_cli(tmp_path):
@@ -160,8 +160,18 @@ def test_missing_input_file_is_one_line_error(tmp_path, capsys):
                          "--backend", "raster", "--out", str(tmp_path / "f.ppm")])
 
 
-@pytest.mark.parametrize("text", ['{"photos": 3}', "not json", '{"standard_viewport": ['])
+# A well-formed document whose crop lies outside its 8x6 source.
+_CROP_OUTSIDE_SOURCE = json.dumps(
+    {"standard_viewport": [1024, 768], "z_base": 0,
+     "photos": [{"id": "a", "source": "photo.ppm", "crop": [100, 100, 5, 5], "scale": 1,
+                 "angle": 0, "center": [500, 400], "effects": [], "z": 0}]})
+
+
+@pytest.mark.parametrize("text", ['{"photos": 3}', "not json", '{"standard_viewport": [',
+                                  pytest.param(_CROP_OUTSIDE_SOURCE,
+                                               id="crop-outside-source")])
 def test_malformed_scene_is_one_line_error(tmp_path, capsys, text):
+    save_ppm(RasterImage.filled(8, 6, (10, 20, 30, 255)), tmp_path / "photo.ppm")
     scene = tmp_path / "scene.json"
     scene.write_text(text, encoding="utf-8")
     _user_error(capsys, ["render", "--scene", str(scene), "--backend", "raster",

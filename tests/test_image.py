@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from scrapbook.image import (PpmBadMagicError, PpmHeaderError, PpmMaxvalError,
                              PpmTruncatedError, RasterImage, decode_ppm,
                              encode_ppm, load_ppm, save_ppm)
+from scrapbook.raster import Frame
 
 from conftest import random_image
 
@@ -83,3 +85,21 @@ def test_buffer_length_invariant():
         RasterImage(0, 4)
     img = RasterImage(3, 5)
     assert len(img.data) == 3 * 5 * 4
+
+
+def test_from_array_copies_its_input():
+    arr = np.zeros((2, 3, 4), dtype=np.uint8)
+    img = RasterImage.from_array(arr)
+    arr[0, 0] = (1, 2, 3, 4)
+    assert img.get_pixel(0, 0) == (0, 0, 0, 0)
+    assert not np.shares_memory(img.array, arr)
+    assert img.array.flags.c_contiguous and img.array.flags.owndata
+
+
+def test_frame_copy_is_an_independent_frame():
+    frame = Frame(4, 3)
+    other = frame.copy()
+    assert type(other) is Frame and other == frame
+    other.rgb[1, 2] = (1, 2, 3)
+    assert frame.get_pixel(2, 1) == (255, 255, 255, 255)
+    assert other.get_pixel(2, 1) == (1, 2, 3, 255)

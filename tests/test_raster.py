@@ -119,8 +119,8 @@ def test_prepare_content_crops_then_applies_chain(rng):
 
 
 def test_frame_to_image_round_trip():
+    # A frame is an opaque image: its rgb view writes the image's pixels.
     frame = Frame(3, 2)
     frame.rgb[0, 0] = (9, 8, 7)
-    img = frame.to_image()
-    assert img.get_pixel(0, 0) == (9, 8, 7, 255)
-    assert img.get_pixel(2, 1) == (255, 255, 255, 255)
+    assert frame.get_pixel(0, 0) == (9, 8, 7, 255)
+    assert frame.get_pixel(2, 1) == (255, 255, 255, 255)

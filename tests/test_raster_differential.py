@@ -142,6 +142,7 @@ def test_span_kernel_matches_mgrid_kernel(block):
         photo, content, screen, background = _case(seed)
         got, want = _draw_both(photo, content, screen, background)
         assert np.array_equal(got.rgb, want.rgb), f"seed {seed}: {photo}"
+        assert (got.array[..., 3] == 255).all(), f"seed {seed}: alpha changed"
 
 
 @pytest.mark.parametrize("angle", SPECIAL_ANGLES + (45.0, -30.0, 1e-13, 270.0))
@@ -158,3 +159,4 @@ def test_special_angles_and_thin_content(angle, content_size):
                                 scale=scale, angle=angle, center=center)
             got, want = _draw_both(photo, content, screen, background)
             assert np.array_equal(got.rgb, want.rgb), f"{angle} {center} {scale}"
+            assert (got.array[..., 3] == 255).all(), f"{angle} {center} {scale}"
