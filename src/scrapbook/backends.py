@@ -7,6 +7,10 @@ nodes, only damaged regions recomposite, and effects stick to the node
 after being baked once.  `legacy` differs from `scenegraph` only through
 its smaller capability table.
 
+Every frame, whether a full render, a session's static layer or its end
+composite, comes from one paint pass that prepares and draws a photo
+list back-to-front; only a drag frame patches the live surface in place.
+
 Work accounting is analytic and deterministic: one work unit is one pixel
 written, where a photo draw is charged as its outward-rounded screen
 bounding box and an effect application as the pixel area it processes.
@@ -140,10 +144,6 @@ def redraw_units(backend: BackendKind, photos, screen: ScreenSpec) -> int:
     return units + sum(draw_units(p, screen) + effect_pixels(p) for p in photos)
 
 
-def render_units(backend: BackendKind, scene: SceneDocument, screen: ScreenSpec) -> int:
-    return redraw_units(backend, scene.photos, screen)
-
-
 def update_units(backend: BackendKind, photo: PhotoObject, screen: ScreenSpec,
                  old_center, new_center) -> int:
     """A drag frame: the box left and the box entered; raster also
@@ -189,15 +189,22 @@ def _check_chains(backend: BackendKind, scene: SceneDocument) -> None:
                 f"route through the failover service first")
 
 
+def _paint(photos, sources: SourceResolver, screen: ScreenSpec) -> Frame:
+    """The one paint pass: every frame is these photos, prepared and drawn
+    back-to-front into a fresh frame."""
+    frame = Frame(screen.width, screen.height)
+    for photo in photos:
+        draw_photo(frame, photo, prepare_content(photo, sources(photo.source)), screen)
+    return frame
+
+
 def render_full(backend: BackendKind, scene: SceneDocument, sources: SourceResolver,
                 screen: ScreenSpec, config: RenderConfig = RenderConfig()
                 ) -> tuple[Frame, CostReport]:
     """Composite the scene back-to-front into a fresh frame."""
     _check_chains(backend, scene)
-    frame = Frame(screen.width, screen.height)
-    for photo in scene.draw_order():
-        draw_photo(frame, photo, prepare_content(photo, sources(photo.source)), screen)
-    return frame, report(render_units(backend, scene, screen), config)
+    return (_paint(scene.photos, sources, screen),
+            report(redraw_units(backend, scene.photos, screen), config))
 
 
 class InteractionSession:
@@ -222,10 +229,8 @@ class InteractionSession:
         self.center = self.photo.center
         self.closed = False
         self._content = prepare_content(self.photo, sources(self.photo.source))
-        statics = [p for p in scene.draw_order() if p.id != photo_id]
-        self._bg = Frame(screen.width, screen.height)
-        for other in statics:
-            draw_photo(self._bg, other, prepare_content(other, sources(other.source)), screen)
+        statics = [p for p in scene.photos if p.id != photo_id]
+        self._bg = _paint(statics, sources, screen)
         self._work = self._bg.copy()
         draw_photo(self._work, self.photo, self._content, screen)
         # Raster renders the static layer once; retained nodes just detach.
@@ -272,12 +277,11 @@ class InteractionSession:
         self.closed = True
         self.scene._active_session = None
         moved = self.scene.replace_photo(move_to(self.photo, *self.center))
-        frame, cost = render_full(self.backend, self.scene, self.sources,
-                                  self.screen, self.config)
-        if self.backend.retained:
-            # Only the box at rest recomposites.
-            cost = report(draw_units(moved, self.screen), self.config)
-        return frame, cost
+        # Retained nodes recomposite only the box at rest; raster redraws.
+        units = (draw_units(moved, self.screen) if self.backend.retained
+                 else redraw_units(self.backend, self.scene.photos, self.screen))
+        return (_paint(self.scene.photos, self.sources, self.screen),
+                report(units, self.config))
 
 
 def begin_interaction(backend: BackendKind, scene: SceneDocument,

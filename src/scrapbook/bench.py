@@ -48,6 +48,7 @@ TRACE_SAMPLES = 269
 FRAME_BUDGET_MS = 40.0
 
 SIM_SCREEN = (1920, 1200)
+SIM_PHOTOS = 100  # photos in the load script
 SIM_CENTER = (960.0, 600.0)
 SIM_SMALL = (576, 384)
 SIM_LARGE = (900, 600)
@@ -353,7 +354,7 @@ class SimPlanEntry:
 class StopRules:
     load_timeout_ms: float = 15000.0
     unresponsive_timeout_ms: float = 30000.0
-    max_photos: int = 100
+    max_photos: int = SIM_PHOTOS
 
 
 def _draws_before(i: int) -> int:
@@ -368,10 +369,11 @@ def sim_plan(i: int, seed: int,
     One generator stream per run (seeded with `seed`) feeds all photos in
     loading order; random draws happen at the position step, and the raw
     values are reduced onto [0, screen - bbox] once the photo's final
-    footprint is known, so placed photos always start fully on screen.
+    footprint is known, so placed photos always start fully on screen;
+    a screen too small for the footprint raises ValueError.
     """
-    if not 1 <= i <= 100:
-        raise ValueError(f"photo index must be 1..100, got {i}")
+    if not 1 <= i <= SIM_PHOTOS:
+        raise ValueError(f"photo index must be 1..{SIM_PHOTOS}, got {i}")
     rng = SplitMix64(seed)
     for _ in range(_draws_before(i)):
         rng.next_u64()
@@ -396,6 +398,9 @@ def sim_plan(i: int, seed: int,
         dh = max(1, round_half_up(ch * scale))
         ew, eh = rotated_extents(dw, dh, rotation)
         ew, eh = math.ceil(ew), math.ceil(eh)
+        if ew > screen_size[0] or eh > screen_size[1]:
+            raise ValueError(f"photo{i:03d} ({ew}x{eh} px) does not fit the "
+                             f"{screen_size[0]}x{screen_size[1]} screen")
         x = raw_x % (screen_size[0] - ew + 1)
         y = raw_y % (screen_size[1] - eh + 1)
         center = (x + ew / 2.0, y + eh / 2.0)
@@ -427,7 +432,6 @@ class ExpCResult:
     rows: tuple[ExpCProbe, ...]
     stop_rule: str
     stopped_at: int
-    elapsed_virtual_ms: float
 
 
 PROBE_PHOTO_INDEX = 5  # the first centre-positioned photo
@@ -446,7 +450,6 @@ def exp_c_run(backend: BackendKind, seed: int = 0, throughput: float = 1000.0,
     config = RenderConfig(throughput_px_per_ms=throughput)
     screen = ScreenSpec.identity(*screen_size)
     scene = SceneDocument()
-    clock = 0.0
     rows: list[ExpCProbe] = []
     stop_rule = "max_photos"
     stopped_at = rules.max_photos
@@ -454,7 +457,6 @@ def exp_c_run(backend: BackendKind, seed: int = 0, throughput: float = 1000.0,
     for i in range(1, rules.max_photos + 1):
         photo = scene.add_photo(plan_photo(sim_plan(i, seed, screen_size)))
         load_ms = report(load_units(backend, scene, screen), config).virtual_ms
-        clock += load_ms
         if load_ms > rules.load_timeout_ms:
             stop_rule, stopped_at = "load_timeout", i
             break
@@ -463,13 +465,12 @@ def exp_c_run(backend: BackendKind, seed: int = 0, throughput: float = 1000.0,
             probe_after = rotate_by(probe_before, PROBE_DEGREES)
             units = attr_change_units(backend, scene, screen, probe_before, probe_after)
             probe_ms = report(units, config).virtual_ms
-            clock += probe_ms
             rows.append(ExpCProbe(backend.value, i, _reported(probe_ms, quantize)))
             if probe_ms > rules.unresponsive_timeout_ms:
                 stop_rule, stopped_at = "unresponsive", i
                 break
 
-    return ExpCResult(tuple(rows), stop_rule, stopped_at, clock)
+    return ExpCResult(tuple(rows), stop_rule, stopped_at)
 
 
 def write_exp_c_csv(result: ExpCResult, fh) -> None:

@@ -4,6 +4,7 @@ failover service and the three experiment harnesses."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -21,10 +22,34 @@ from .viewport import ScreenSpec
 
 def _parse_size(text: str) -> tuple[int, int]:
     try:
-        w, h = text.lower().split("x")
-        return int(w), int(h)
+        w, h = (int(v) for v in text.lower().split("x"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected WxH, got {text!r}") from None
+    if w <= 0 or h <= 0:
+        raise argparse.ArgumentTypeError(f"size must be positive, got {text!r}")
+    return w, h
+
+
+def _throughput(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"throughput must be > 0 (inf allowed), got {text!r}")
+    return value
+
+
+def _quantum(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"clock quantum must be finite and > 0, got {text!r}")
+    return value
+
+
+def _max_photos(text: str) -> int:
+    value = int(text)
+    if not 1 <= value <= bench.SIM_PHOTOS:
+        raise argparse.ArgumentTypeError(
+            f"max photos must be in 1..{bench.SIM_PHOTOS}, got {text!r}")
+    return value
 
 
 def _parse_param(text: str):
@@ -143,9 +168,12 @@ def _cmd_exp_b(args) -> int:
 
 def _cmd_exp_c(args) -> int:
     rules = bench.StopRules(max_photos=args.max_photos)
-    result = bench.exp_c_run(args.backend, seed=args.seed, throughput=args.throughput,
-                             rules=rules, quantize=args.quantize_clock,
-                             screen_size=args.screen)
+    try:
+        result = bench.exp_c_run(args.backend, seed=args.seed, throughput=args.throughput,
+                                 rules=rules, quantize=args.quantize_clock,
+                                 screen_size=args.screen)
+    except ValueError as exc:  # the screen cannot hold a scripted photo
+        return _user_error(exc)
     _write_csv(args.csv, bench.write_exp_c_csv, result)
     if args.plot:
         points = [(r.count, r.probe_virtual_ms) for r in result.rows]
@@ -177,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--screen", type=_parse_size, default=(1024, 768))
     p_render.add_argument("--out", required=True)
     p_render.add_argument("--cost", help="also write a cost report CSV")
-    p_render.add_argument("--throughput", type=float, default=1000.0)
+    p_render.add_argument("--throughput", type=_throughput, default=1000.0)
     p_render.add_argument("--service", help="failover service base URL "
                           "(default: in-process)")
     p_render.set_defaults(func=_cmd_render)
@@ -187,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--store", help="directory of <key>.ppm images")
     p_serve.set_defaults(func=_cmd_serve)
 
-    common = {"--throughput": dict(type=float, default=1000.0,
+    common = {"--throughput": dict(type=_throughput, default=1000.0,
                                    help="renderer speed in pixels per virtual ms"),
               "--csv": dict(default=None, help="CSV output path (default stdout)"),
               "--plot": dict(default=None, help="SVG chart output path")}
@@ -195,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_a = sub.add_parser("exp-a", help="application-time measurements")
     p_a.add_argument("--backend", type=_backend, action="append",
                      help="repeatable; default all")
-    p_a.add_argument("--quantize-clock", type=float, default=None, metavar="MS")
+    p_a.add_argument("--quantize-clock", type=_quantum, default=None, metavar="MS")
     for flag, kw in common.items():
         p_a.add_argument(flag, **kw)
     p_a.set_defaults(func=_cmd_exp_a)
@@ -215,9 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--seed", type=int, default=0,
                      help="placement seed; every photo lands fully on screen and is "
                           "charged its whole box, so the CSV is the same for any seed")
-    p_c.add_argument("--max-photos", type=int, default=100)
+    p_c.add_argument("--max-photos", type=_max_photos, default=bench.SIM_PHOTOS)
     p_c.add_argument("--screen", type=_parse_size, default=(1920, 1200))
-    p_c.add_argument("--quantize-clock", type=float, default=None, metavar="MS")
+    p_c.add_argument("--quantize-clock", type=_quantum, default=None, metavar="MS")
     for flag, kw in common.items():
         p_c.add_argument(flag, **kw)
     p_c.set_defaults(func=_cmd_exp_c)
@@ -231,13 +259,17 @@ _USER_ERRORS = (EffectParamError, SceneFormatError, PhotoError, PpmError, OSErro
                 UnicodeDecodeError)
 
 
+def _user_error(exc: Exception) -> int:
+    print(f"scrapbook: error: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _USER_ERRORS as exc:
-        print(f"scrapbook: error: {exc}", file=sys.stderr)
-        return 2
+        return _user_error(exc)
 
 
 if __name__ == "__main__":

@@ -101,9 +101,6 @@ class SceneDocument:
         order.bring_to_front(photo_id)
         self._reorder(order)
 
-    def draw_order(self) -> list[PhotoObject]:
-        return list(self.photos)
-
 
 _PHOTO_FIELDS = {"id", "source", "crop", "scale", "angle", "center", "effects", "z"}
 _SCENE_FIELDS = {"standard_viewport", "z_base", "photos"}

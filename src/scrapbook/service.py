@@ -7,7 +7,9 @@ and over HTTP POST /api (HttpClient against serve()).
 
 Request envelope:   {"op": str, "args": object, "image": str}
     `image` is a base64 binary-PPM payload, or "store:<key>" to reference
-    the server's image store.
+    the server's image store.  A store is any mapping from key to
+    RasterImage whose missing keys raise KeyError; `scrapbook serve
+    --store DIR` serves the DIR/<key>.ppm files through DirectoryStore.
 Response envelope:  {"status": "ok"|"error", "error_code": int|null,
                      "message": str, "payload": object|null}
 
@@ -98,26 +100,13 @@ def _error(code: int, message: str) -> dict:
     return {"status": "error", "error_code": code, "message": message, "payload": None}
 
 
-class MemoryStore:
-    """Keyed image store; exclusive access per key is the caller's duty."""
-
-    def __init__(self):
-        self._images: dict[str, RasterImage] = {}
-
-    def put(self, key: str, image: RasterImage) -> None:
-        self._images[key] = image
-
-    def get(self, key: str) -> RasterImage:
-        return self._images[key]
-
-
 class DirectoryStore:
     """Read-only store over a directory of <key>.ppm files."""
 
     def __init__(self, root):
         self.root = Path(root)
 
-    def get(self, key: str) -> RasterImage:
+    def __getitem__(self, key: str) -> RasterImage:
         if "/" in key or "\\" in key or key.startswith("."):
             raise KeyError(key)
         path = self.root / f"{key}.ppm"
@@ -134,7 +123,7 @@ def _resolve_image(field, store) -> RasterImage | dict:
         if store is None:
             return _error(ERR_BAD_IMAGE, f"no image store configured for key {key!r}")
         try:
-            return store.get(key)
+            return store[key]
         except KeyError:
             return _error(ERR_BAD_IMAGE, f"image store has no key {key!r}")
     try:
@@ -233,35 +222,15 @@ def route_effect(backend: BackendKind, image: RasterImage, spec: fx.EffectSpec,
     return result
 
 
-def bake_chain(backend: BackendKind, image: RasterImage, chain,
-               client=None) -> tuple[RasterImage, int, int]:
-    """Apply a whole chain through the router.
-
-    Returns (result, local_pixels, remote_calls) so callers can account
-    for virtual time: local effects cost their pixel area, remote ones a
-    round-trip latency.
-    """
-    out = image
-    local_pixels = 0
-    remote_calls = 0
-    for spec in chain:
-        local = capability_check(backend, spec.kind) is Capability.SUPPORTED
-        out = route_effect(backend, out, spec, client)
-        if local:
-            local_pixels += out.width * out.height
-        else:
-            remote_calls += 1
-    return out, local_pixels, remote_calls
-
-
 def resolve_scene(backend: BackendKind, scene, sources, client=None,
                   config: RenderConfig = RenderConfig()):
     """Bake every chain the backend cannot run, before rendering.
 
     Photos whose chains are fully supported pass through untouched; the
     rest are replaced by effect-free photos over baked pixel sources.
-    Returns (scene, resolver, cost): the cost counts client-side effect
-    pixels as work and one remote latency per routed effect.
+    Each chain is baked through the router one step at a time.  Returns
+    (scene, resolver, cost): a local step costs its output area as work,
+    a routed step one remote latency.
     """
     baked: dict[str, RasterImage] = {}
     photos = []
@@ -271,10 +240,13 @@ def resolve_scene(backend: BackendKind, scene, sources, client=None,
         if supports_chain(backend, photo):
             photos.append(photo)
             continue
-        content = raster.prepare_content(replace(photo, effects=()), sources(photo.source))
-        result, pixels, calls = bake_chain(backend, content, photo.effects, client)
-        local_pixels += pixels
-        remote_calls += calls
+        result = raster.prepare_content(replace(photo, effects=()), sources(photo.source))
+        for spec in photo.effects:
+            result = route_effect(backend, result, spec, client)
+            if capability_check(backend, spec.kind) is Capability.SUPPORTED:
+                local_pixels += result.width * result.height
+            else:
+                remote_calls += 1
         key = f"baked:{photo.id}"
         baked[key] = result
         photos.append(replace(photo, source=key, crop=None,
@@ -284,14 +256,10 @@ def resolve_scene(backend: BackendKind, scene, sources, client=None,
     resolved.photos = photos
 
     def resolver(key: str) -> RasterImage:
-        if key in baked:
-            return baked[key]
-        return sources(key)
+        return baked[key] if key in baked else sources(key)
 
-    base = report(local_pixels, config, frames=0)
-    cost = CostReport(base.work_units,
-                      base.virtual_ms + remote_calls * config.remote_latency_ms,
-                      0)
+    cost = (report(local_pixels, config, frames=0)
+            + CostReport(0, remote_calls * config.remote_latency_ms))
     return resolved, resolver, cost
 
 

@@ -6,7 +6,7 @@ from scrapbook import effects as fx
 from scrapbook.backends import (CAPABILITIES, BackendKind, Capability,
                                 RenderConfig, SessionError,
                                 UnsupportedEffectError, begin_interaction,
-                                capability_check, render_full, render_units,
+                                capability_check, redraw_units, render_full,
                                 report, update_units)
 from scrapbook.effects import EffectKind
 from scrapbook.image import RasterImage
@@ -83,9 +83,9 @@ def test_render_cost_counts_effect_pixels():
     scene.add_photo(PhotoObject(id="a", source="s", source_size=(100, 80),
                                 center=(300.0, 300.0), effects=(fx.invert(),)))
     screen = ScreenSpec.identity(1024, 768)
-    assert render_units(BackendKind.RASTER, scene, screen) == 786432 + 8000 + 8000
+    assert redraw_units(BackendKind.RASTER, scene.photos, screen) == 786432 + 8000 + 8000
     # retained bakes the chain once at node creation
-    assert render_units(BackendKind.SCENEGRAPH, scene, screen) == 8000 + 8000
+    assert redraw_units(BackendKind.SCENEGRAPH, scene.photos, screen) == 8000 + 8000
 
 
 def test_virtual_time_from_throughput():
@@ -111,14 +111,14 @@ def test_cost_content_independent(rng):
 
 def test_raster_cost_linear_in_drawn_area():
     screen = ScreenSpec.identity(1024, 768)
-    base = render_units(BackendKind.RASTER, SceneDocument(), screen)
+    base = redraw_units(BackendKind.RASTER, SceneDocument().photos, screen)
     totals = []
     for n in (1, 2, 3, 4):
         scene = SceneDocument()
         for k in range(n):
             scene.add_photo(PhotoObject(id=f"p{k}", source="s", source_size=(50, 40),
                                         center=(100.0 + 60 * k, 100.0)))
-        totals.append(render_units(BackendKind.RASTER, scene, screen) - base)
+        totals.append(redraw_units(BackendKind.RASTER, scene.photos, screen) - base)
     assert totals == [2000 * n for n in (1, 2, 3, 4)]
 
 
@@ -188,7 +188,7 @@ def test_end_commits_and_matches_full_render():
     assert scene.photo("a").center == (150.0, 120.0)
     want, _ = render_full(BackendKind.RASTER, scene, sources, screen)
     assert frame == want
-    assert cost.work_units == render_units(BackendKind.RASTER, scene, screen)
+    assert cost.work_units == redraw_units(BackendKind.RASTER, scene.photos, screen)
 
 
 def test_end_cost_retained_is_photo_box():

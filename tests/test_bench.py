@@ -283,6 +283,15 @@ def test_sim_plan_random_photos_start_on_screen():
         assert box.x2 <= SIM_SCREEN[0] + 1 and box.y2 <= SIM_SCREEN[1] + 1
 
 
+def test_sim_plan_rejects_screen_too_small_for_a_photo():
+    # photo003 is the 900x600 source turned 10 degrees: 991x748 on screen.
+    with pytest.raises(ValueError, match="photo003.*990x747"):
+        sim_plan(3, 0, (990, 747))
+    with pytest.raises(ValueError, match="photo001.*800x600"):
+        sim_plan(1, 0, (800, 600))
+    assert sim_plan(3, 0, (991, 748)).center == (991 / 2, 748 / 2)
+
+
 def test_sim_plan_index_range():
     with pytest.raises(ValueError):
         sim_plan(0, 1)

@@ -124,6 +124,36 @@ def test_unknown_backend_rejected(capsys):
     assert "backend must be one of" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["exp-c", "--backend", "raster", "--max-photos", "101"],
+    ["exp-c", "--backend", "raster", "--max-photos", "0"],
+    ["exp-a", "--throughput", "0"],
+    ["exp-c", "--backend", "raster", "--throughput", "-5"],
+    ["exp-b", "--backend", "raster", "--throughput", "nan"],
+    ["render", "--scene", "s.json", "--backend", "raster", "--out", "f.ppm",
+     "--throughput", "0"],
+    ["exp-a", "--quantize-clock", "-1"],
+    ["exp-c", "--backend", "raster", "--quantize-clock", "0"],
+    ["exp-c", "--backend", "raster", "--quantize-clock", "inf"],
+    ["exp-b", "--backend", "raster", "--screen", "0x0"],
+    ["exp-b", "--backend", "raster", "--size", "0x360"],
+    ["render", "--scene", "s.json", "--backend", "raster", "--out", "f.ppm",
+     "--screen", "1024x0"],
+], ids=" ".join)
+def test_bad_number_argument_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_infinite_throughput_is_accepted(tmp_path):
+    out = tmp_path / "c.csv"
+    assert main(["exp-c", "--backend", "scenegraph", "--throughput", "inf",
+                 "--csv", str(out)]) == 0
+    assert list(csv.DictReader(out.open()))[-1]["stop_rule"] == "max_photos"
+
+
 def _user_error(capsys, argv) -> str:
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -187,3 +217,12 @@ def test_undecodable_scene_and_missing_source_are_one_line_errors(tmp_path, rng,
     (tmp_path / "photo.ppm").unlink()
     _user_error(capsys, ["render", "--scene", str(tmp_path / "scene.json"),
                          "--backend", "raster", "--out", str(tmp_path / "f.ppm")])
+
+
+@pytest.mark.parametrize("screen", ["990x747", "800x600"])
+def test_exp_c_screen_too_small_is_one_line_error(tmp_path, capsys, screen):
+    out = tmp_path / "c.csv"
+    err = _user_error(capsys, ["exp-c", "--backend", "raster", "--screen", screen,
+                               "--csv", str(out)])
+    assert screen in err
+    assert not out.exists()

@@ -5,6 +5,8 @@ Every generator is derandomized, so each run checks the same examples.
 
 import copy
 import json
+import socket
+import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,8 @@ from scrapbook.geometry import Rect
 from scrapbook.image import PpmError, RasterImage, decode_ppm
 from scrapbook.photo import PhotoObject
 from scrapbook.scene import SceneDocument, SceneFormatError, scene_load, scene_save
-from scrapbook.service import ERR_INTERNAL, dispatch, encode_image
+from scrapbook.service import (ERR_BAD_IMAGE, ERR_INTERNAL, ERR_UNKNOWN_OP, MAX_BODY_BYTES,
+                               dispatch, encode_image, make_server)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -164,3 +167,57 @@ def test_decode_ppm_returns_or_raises_ppm_error(data):
         decode_ppm(data)
     except PpmError:
         pass
+
+
+# Header text a client can put on one line: Latin-1 without control characters.
+_HEADER_TEXT = st.text(st.characters(min_codepoint=0x20, max_codepoint=0xFF,
+                                     blacklist_categories=("Cc",)), max_size=12)
+
+
+@st.composite
+def api_requests(draw):
+    """A raw POST /api head and body: Content-Length missing, any text,
+    negative, beyond MAX_BODY_BYTES or the body's length; the body any
+    bytes or any JSON value."""
+    body = draw(st.binary(max_size=64) | json_values().map(lambda v: json.dumps(v).encode()))
+    declared = draw(st.none() | _HEADER_TEXT | st.integers(max_value=-1).map(str)
+                    | st.integers(min_value=MAX_BODY_BYTES + 1).map(str)
+                    | st.just(str(len(body))))
+    head = b"POST /api HTTP/1.1\r\nHost: test\r\n"
+    if declared is not None:
+        head += b"Content-Length: " + declared.encode("latin-1") + b"\r\n"
+    return head + b"\r\n", body
+
+
+def _post(port: int, head: bytes, body: bytes) -> bytes:
+    """Send one request, half-close, and read the whole response."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(head + body)
+        sock.shutdown(socket.SHUT_WR)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    return data
+
+
+def test_http_framing_of_any_request_gets_an_envelope():
+    # One server for every example; a function-scoped fixture would be
+    # shared across examples, which Hypothesis rejects.
+    server = make_server(0)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+
+    @PROPERTY
+    @given(api_requests())
+    def check(request):
+        status, _, payload = _post(server.server_address[1], *request).partition(b"\r\n\r\n")
+        assert status.split(b"\r\n")[0].split()[1] == b"200"
+        envelope = json.loads(payload)
+        assert envelope["error_code"] in (None, *range(ERR_UNKNOWN_OP, ERR_BAD_IMAGE + 1))
+
+    try:
+        check()
+    finally:
+        server.shutdown()
+        server.server_close()

@@ -16,7 +16,7 @@ from scrapbook.scene import SceneDocument
 from scrapbook.service import (ERR_BAD_IMAGE, ERR_INTERNAL,
                                ERR_MALFORMED_ARGS, ERR_UNKNOWN_EFFECT,
                                ERR_UNKNOWN_OP, FailoverError, HttpClient,
-                               LocalClient, MemoryStore,
+                               LocalClient,
                                ServiceUnreachableError, decode_image, dispatch,
                                encode_image, make_apply_request,
                                make_ping_request, make_server, resolve_scene,
@@ -113,8 +113,7 @@ def test_identical_requests_identical_responses(rng):
 
 
 def test_store_keys():
-    store = MemoryStore()
-    store.put("k1", tiny_image())
+    store = {"k1": tiny_image()}
     response = dispatch(make_apply_request(fx.invert(), "k1"), store)
     assert response["status"] == "ok"
     assert decode_image(response["payload"]["image"]).get_pixel(0, 0) == (245, 235, 225, 255)
@@ -177,12 +176,19 @@ def test_route_error_surfaces_as_failover_error():
 
 
 def test_bake_chain_accounting(rng):
+    from scrapbook.backends import RenderConfig, report
     img = random_image(rng, max_side=6, opaque=True)
     chain = (fx.invert(), fx.sepia(), fx.grayscale())
-    out, local_px, remote = service.bake_chain(BackendKind.LEGACY, img, chain)
-    assert out == fx.apply_chain(img, chain)
-    assert local_px == 2 * img.width * img.height  # invert + grayscale local
-    assert remote == 1  # sepia routed
+    scene = SceneDocument()
+    scene.add_photo(PhotoObject(id="p", source="src", source_size=(img.width, img.height),
+                                effects=chain))
+    resolved, resolver, cost = resolve_scene(BackendKind.LEGACY, scene, lambda k: img)
+    assert resolver(resolved.photos[0].source) == fx.apply_chain(img, chain)
+    local_px = 2 * img.width * img.height  # invert + grayscale local
+    assert cost.work_units == local_px
+    # sepia routed: one remote latency on top of the local work
+    assert cost.virtual_ms == (report(local_px, RenderConfig()).virtual_ms
+                               + RenderConfig().remote_latency_ms)
 
 
 def test_resolve_scene_renders_unsupported_chains(rng):
@@ -205,10 +211,9 @@ def test_resolve_scene_renders_unsupported_chains(rng):
 
 @pytest.fixture
 def server():
-    store = MemoryStore()
-    store.put("stored", tiny_image())
-    srv = make_server(0, store)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    srv = make_server(0, {"stored": tiny_image()})
+    thread = threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.05},
+                              daemon=True)
     thread.start()
     yield srv
     srv.shutdown()
@@ -282,8 +287,8 @@ def test_directory_store(tmp_path):
     from scrapbook.service import DirectoryStore
     save_ppm(tiny_image(), tmp_path / "photo.ppm")
     store = DirectoryStore(tmp_path)
-    assert store.get("photo").get_pixel(0, 0) == (10, 20, 30, 255)
+    assert store["photo"].get_pixel(0, 0) == (10, 20, 30, 255)
     with pytest.raises(KeyError):
-        store.get("absent")
+        store["absent"]
     with pytest.raises(KeyError):
-        store.get("../photo")
+        store["../photo"]
