@@ -10,6 +10,17 @@ its smaller capability table.
 Every frame, whether a full render, a session's static layer or its end
 composite, comes from one paint pass that prepares and draws a photo
 list back-to-front; only a drag frame patches the live surface in place.
+The pass draws only what can be seen.  It first walks the list top-down
+over a grid of TILE x TILE tiles: a photo whose box lies wholly in tiles
+already covered by opaque photos above it is culled, so it is neither
+prepared nor drawn, and each kept photo's draw is clipped to the bounding
+rect of its uncovered tiles.  A tile counts as covered only where the
+rasterizer provably writes every pixel of it (see `raster`), so frames
+are bit-identical to drawing every photo in full.  A retained `end`
+copies the session's static layer and repaints only the box at rest,
+through the same pass; a raster `end` repaints the whole screen.  The
+culling changes wall time only: the charges below stay those of drawing
+every photo.
 
 Work accounting is analytic and deterministic: one work unit is one pixel
 written, where a photo draw is charged as its outward-rounded screen
@@ -39,11 +50,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
+import numpy as np
+
 from .effects import EffectKind
 from .geometry import Rect
 from .image import RasterImage
 from .photo import PhotoObject, effect_pixels, move_to
-from .raster import Frame, draw_photo, footprint, prepare_content
+from .raster import (Frame, covered_tiles, crop_rect, draw_photo, footprint, is_opaque,
+                     prepare_content)
 from .scene import SceneDocument
 from .viewport import ScreenSpec
 
@@ -189,12 +203,63 @@ def _check_chains(backend: BackendKind, scene: SceneDocument) -> None:
                 f"route through the failover service first")
 
 
-def _paint(photos, sources: SourceResolver, screen: ScreenSpec) -> Frame:
-    """The one paint pass: every frame is these photos, prepared and drawn
-    back-to-front into a fresh frame."""
-    frame = Frame(screen.width, screen.height)
+# Edge in pixels of the square tiles the paint pass tracks occlusion on.
+TILE = 16
+
+
+def _visible(placed, area: Rect, screen: ScreenSpec):
+    """The photos that show in `area`, back-to-front, each with the clip
+    its draw needs: the bounding rect of its tiles not yet covered by an
+    opaque photo above it.  A photo whose tiles are all covered is left out.
+    """
+    xs = np.minimum(np.arange(area.x, area.x2 + TILE, TILE), area.x2)
+    ys = np.minimum(np.arange(area.y, area.y2 + TILE, TILE), area.y2)
+    covered = np.zeros((len(ys) - 1, len(xs) - 1), dtype=bool)
+    kept = []
+    for photo, source, box in reversed(placed):
+        box = box.intersect(area)
+        if box.is_empty():
+            continue
+        c0, c1 = (box.x - area.x) // TILE, -(-(box.x2 - area.x) // TILE)
+        r0, r1 = (box.y - area.y) // TILE, -(-(box.y2 - area.y) // TILE)
+        under = covered[r0:r1, c0:c1]
+        open_rows = np.flatnonzero(~under.all(axis=1))
+        if len(open_rows) == 0:
+            continue
+        open_cols = np.flatnonzero(~under.all(axis=0))
+        x0, x1 = xs[c0 + open_cols[0]], xs[c0 + open_cols[-1] + 1]
+        y0, y1 = ys[r0 + open_rows[0]], ys[r0 + open_rows[-1] + 1]
+        kept.append((photo, source, Rect(int(x0), int(y0), int(x1 - x0), int(y1 - y0))))
+        if is_opaque(photo, source):
+            under |= covered_tiles(photo, screen, xs[c0:c1 + 1], ys[r0:r1 + 1])
+    return kept[::-1]
+
+
+def _paint(photos, sources: SourceResolver, screen: ScreenSpec,
+           frame: Frame | None = None, damage: Rect | None = None) -> Frame:
+    """The one paint pass: the photos drawn back-to-front into `frame` (a
+    fresh one by default) over the whole screen, or only inside `damage`,
+    which is cleared to white first.
+
+    Only what can be seen is drawn: a photo hidden under opaque photos in
+    the painted area is neither prepared nor drawn, and each drawn photo is
+    clipped to the tiles where it may show.  Every source is still
+    resolved and every crop and size checked, back-to-front, so a hidden
+    photo fails exactly as a drawn one does.
+    """
+    placed = []
     for photo in photos:
-        draw_photo(frame, photo, prepare_content(photo, sources(photo.source)), screen)
+        source = sources(photo.source)
+        crop_rect(photo, source)
+        placed.append((photo, source, screen_bbox(photo, screen)))
+    if frame is None:
+        frame = Frame(screen.width, screen.height)
+    area = Rect(0, 0, screen.width, screen.height)
+    if damage is not None:
+        area = area.intersect(damage)
+        frame.array[area.y:area.y2, area.x:area.x2] = 255
+    for photo, source, clip in _visible(placed, area, screen):
+        draw_photo(frame, photo, prepare_content(photo, source), screen, clip)
     return frame
 
 
@@ -277,11 +342,13 @@ class InteractionSession:
         self.closed = True
         self.scene._active_session = None
         moved = self.scene.replace_photo(move_to(self.photo, *self.center))
-        # Retained nodes recomposite only the box at rest; raster redraws.
-        units = (draw_units(moved, self.screen) if self.backend.retained
-                 else redraw_units(self.backend, self.scene.photos, self.screen))
+        if self.backend.retained:
+            # Retained nodes recomposite only the box at rest over the statics.
+            box = screen_bbox(moved, self.screen)
+            frame = _paint(self.scene.photos, self.sources, self.screen, self._bg.copy(), box)
+            return frame, report(draw_units(moved, self.screen), self.config)
         return (_paint(self.scene.photos, self.sources, self.screen),
-                report(units, self.config))
+                report(redraw_units(self.backend, self.scene.photos, self.screen), self.config))
 
 
 def begin_interaction(backend: BackendKind, scene: SceneDocument,

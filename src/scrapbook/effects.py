@@ -1,13 +1,18 @@
 """Pixel effect operations: the single source of truth for every backend.
 
-Each effect is a pure function of (image, spec): deterministic, never
-mutates its input, and leaves alpha alone except for `opacity`.  Channel
-math uses float64 intermediates, rounds half-up and clamps after rounding,
-so results are bit-reproducible everywhere the same chain runs.
+Each effect is a pure function of (image, spec): deterministic and never
+mutates its input.  Channel math uses float64 intermediates, rounds
+half-up and clamps after rounding, so results are bit-reproducible
+everywhere the same chain runs.  An output's alpha depends only on the
+input's alpha: the flips move it with the pixels, `opacity` scales it,
+`border` writes its colour's alpha around it, and every other kind keeps
+it as it is.
 
 Each kind is one row of `_KINDS`: its apply function, its parameter schema
-(a check per name plus the JSON form where it differs) and its growth per
-side.  Validation, JSON and size accounting all read that row.
+(a check per name plus the JSON form where it differs), its growth per
+side, its alpha map and whether it can lower alpha.  Validation, JSON,
+size accounting, the failover's alpha and the paint pass's occlusion test
+all read that row.
 """
 
 from __future__ import annotations
@@ -273,10 +278,13 @@ def _blackwhite(rgb, params):
     return np.repeat(np.where(mask, 255.0, 0.0)[..., None], 3, axis=-1)
 
 
+def _opacity_alpha(alpha, params):
+    return _quantize(alpha.astype(np.float64) * params["alpha"])
+
+
 def _opacity(image, params):
-    src = image.array
-    out = src.copy()
-    out[:, :, 3] = _quantize(src[:, :, 3].astype(np.float64) * params["alpha"])
+    out = image.array.copy()
+    out[:, :, 3] = _opacity_alpha(out[:, :, 3], params)
     return RasterImage.from_array(out)
 
 
@@ -302,12 +310,17 @@ def _redeye(image, params):
 
 
 class _Kind(NamedTuple):
-    """One registry row: the apply function, the parameter schema, and the
-    pixels `grow` adds on each side of the image (only border adds any)."""
+    """One registry row: the apply function, the parameter schema, the
+    pixels `grow` adds on each side of the image (only border adds any),
+    the output alpha plane as a function of the input one, and whether the
+    kind can lower an alpha of 255 (only opacity below 1 and a border whose
+    colour is translucent can)."""
 
     apply: Callable[[RasterImage, dict], RasterImage]
     params: dict = {}
     grow: Callable[[dict], int] = lambda params: 0
+    alpha: Callable[[np.ndarray, dict], np.ndarray] = lambda alpha, params: alpha
+    lowers_alpha: Callable[[dict], bool] = lambda params: False
 
 
 _KINDS = {
@@ -325,11 +338,17 @@ _KINDS = {
     EffectKind.BLUR: _Kind(lambda image, p: convolve3x3(image, BLUR_KERNEL)),
     EffectKind.SHARPEN: _Kind(lambda image, p: convolve3x3(image, SHARPEN_KERNEL)),
     EffectKind.EMBOSS: _Kind(lambda image, p: convolve3x3(image, EMBOSS_KERNEL)),
-    EffectKind.OPACITY: _Kind(_opacity, {"alpha": _number(0, 1)}),
-    EffectKind.FLIP_H: _Kind(lambda image, p: RasterImage.from_array(image.array[:, ::-1])),
-    EffectKind.FLIP_V: _Kind(lambda image, p: RasterImage.from_array(image.array[::-1, :])),
+    EffectKind.OPACITY: _Kind(_opacity, {"alpha": _number(0, 1)}, alpha=_opacity_alpha,
+                              lowers_alpha=lambda p: p["alpha"] < 1),
+    EffectKind.FLIP_H: _Kind(lambda image, p: RasterImage.from_array(image.array[:, ::-1]),
+                             alpha=lambda alpha, p: alpha[:, ::-1]),
+    EffectKind.FLIP_V: _Kind(lambda image, p: RasterImage.from_array(image.array[::-1, :]),
+                             alpha=lambda alpha, p: alpha[::-1, :]),
     EffectKind.BORDER: _Kind(_border, {"width": _WIDTH, "color": _COLOR},
-                             grow=lambda p: p["width"]),
+                             grow=lambda p: p["width"],
+                             alpha=lambda alpha, p: np.pad(alpha, p["width"],
+                                                           constant_values=p["color"][3]),
+                             lowers_alpha=lambda p: p["color"][3] < 255),
     EffectKind.REDEYE: _Kind(_redeye, {"region": _REGION}),
 }
 
@@ -343,6 +362,19 @@ def apply_effect(image: RasterImage, spec: EffectSpec) -> RasterImage:
     """
     chain_output_size(image.width, image.height, (spec,))
     return _KINDS[spec.kind].apply(image, spec.params)
+
+
+def effect_alpha(spec: EffectSpec, alpha: np.ndarray) -> np.ndarray:
+    """The alpha plane apply_effect gives an image whose alpha plane is
+    `alpha`: the failover service carries RGB only, so a routed step's
+    alpha is rebuilt from this."""
+    return _KINDS[spec.kind].alpha(alpha, spec.params)
+
+
+def lowers_alpha(effects) -> bool:
+    """Whether some step of a chain can lower an alpha of 255.  False means
+    a chain run on an opaque image gives an opaque image."""
+    return any(_KINDS[spec.kind].lowers_alpha(spec.params) for spec in effects)
 
 
 def apply_chain(image: RasterImage, effects) -> RasterImage:

@@ -24,7 +24,20 @@ operands in the same order as a full per-pixel grid would:
 
 and the exact `inside` test, not the span, decides which pixels are
 written.  A span that is too wide costs a few evaluations and can never
-change a pixel, so frames are bit-identical to the full-grid form.
+change a pixel, so frames are bit-identical to the full-grid form.  A
+draw may be clipped to a rectangle: inside it every pixel gets the same
+expressions, outside it nothing is written.
+
+The paint pass hides photos behind opaque ones by tiles, and that too is
+exact.  `covered_tiles` counts a tile as covered only when its four
+corner pixel centres satisfy `margin <= l <= size - margin` for both local
+coordinates, with the same margin as the spans.  l is affine in the pixel
+centre and the rotated rectangle is convex, so every pixel centre of the
+tile, a convex combination of the corners, lies at least `margin` inside
+the footprint in exact arithmetic; float64 rounding of either evaluation
+is far below the margin, so draw_photo's `inside` test passes on every
+pixel of a covered tile.  An opaque draw therefore overwrites each such
+pixel with a texel of alpha 255, and nothing drawn before it there shows.
 
 The frame is an opaque RasterImage, so texels and frame pixels share one
 layout: both are read and written through packed uint32 views, one 4-byte
@@ -38,7 +51,7 @@ import math
 
 import numpy as np
 
-from .effects import apply_chain
+from .effects import apply_chain, chain_output_size, lowers_alpha
 from .geometry import Rect, outward_bbox
 from .image import RasterImage
 from .photo import EmptyCropError, PhotoObject, display_size, source_rect
@@ -47,6 +60,11 @@ from .viewport import ScreenSpec, to_screen
 # Packed texels whose alpha byte is 255; the mask is built from bytes so it
 # holds on either byte order.
 _OPAQUE = np.frombuffer(bytes((0, 0, 0, 255)), dtype=np.uint32)[0]
+
+
+def _all_opaque(texels: np.ndarray) -> bool:
+    """Whether every packed RGBA texel has alpha 255."""
+    return np.bitwise_and.reduce(texels, axis=None) & _OPAQUE == _OPAQUE
 
 
 class Frame(RasterImage):
@@ -68,18 +86,37 @@ class Frame(RasterImage):
         return self.array[..., :3]
 
 
-def prepare_content(photo: PhotoObject, source: RasterImage) -> RasterImage:
-    """Crop the source and run the effect chain: the photo's texture."""
+def crop_rect(photo: PhotoObject, source: RasterImage) -> Rect:
+    """The part of the source the photo shows.  Raises what prepare_content
+    would, without running the chain: EmptyCropError when the crop lies
+    outside the source, EffectParamError when the chain would grow the
+    crop past MAX_IMAGE_PIXELS."""
     rect = source_rect(photo).intersect(Rect(0, 0, source.width, source.height))
     if rect.is_empty():
         raise EmptyCropError(f"photo {photo.id!r}: crop {photo.crop} outside source")
+    chain_output_size(rect.w, rect.h, photo.effects)
+    return rect
+
+
+def prepare_content(photo: PhotoObject, source: RasterImage) -> RasterImage:
+    """Crop the source and run the effect chain: the photo's texture."""
+    rect = crop_rect(photo, source)
     cropped = RasterImage.from_array(source.array[rect.y:rect.y2, rect.x:rect.x2])
     return apply_chain(cropped, photo.effects)
 
 
+def is_opaque(photo: PhotoObject, source: RasterImage) -> bool:
+    """Whether the photo's prepared content has alpha 255 everywhere: its
+    crop of the source does and no step of its chain can lower alpha."""
+    if lowers_alpha(photo.effects):
+        return False
+    rect = crop_rect(photo, source)
+    return _all_opaque(source.packed[rect.y:rect.y2, rect.x:rect.x2])
+
+
 def _composite(pixels: np.ndarray, at, texels: np.ndarray) -> None:
     """Source-over packed RGBA texels onto the packed frame pixels `pixels[at]`."""
-    if np.bitwise_and.reduce(texels, axis=None) & _OPAQUE == _OPAQUE:
+    if _all_opaque(texels):
         # Opaque content: source-over degenerates to an exact texel copy.
         pixels[at] = texels
         return
@@ -108,6 +145,17 @@ def _edge_span(a: float, b: np.ndarray, size: float, eps: float):
     return (lo, hi) if a > 0 else (hi, lo)
 
 
+def _slack(cx: float, cy: float, sw: float, sh: float, width: int, height: int) -> float:
+    """A margin in local units far above the float64 rounding of the local
+    coordinates of any pixel of a width x height surface."""
+    return 1e-9 * (abs(cx) + abs(cy) + width + height + sw + sh + 1.0)
+
+
+def _rotation(photo: PhotoObject) -> tuple[float, float]:
+    theta = math.radians(photo.angle)
+    return math.cos(theta), math.sin(theta)
+
+
 def footprint(photo: PhotoObject, screen: ScreenSpec, center=None):
     """Where a draw lands: screen centre (cx, cy), scaled size (sw, sh) and
     the outward-rounded box of the rotated rectangle, optionally at an
@@ -120,19 +168,42 @@ def footprint(photo: PhotoObject, screen: ScreenSpec, center=None):
     return cx, cy, sw, sh, outward_bbox(cx, cy, sw, sh, photo.angle)
 
 
+def covered_tiles(photo: PhotoObject, screen: ScreenSpec, xs: np.ndarray,
+                  ys: np.ndarray) -> np.ndarray:
+    """Which tiles draw_photo writes in full: tile (i, j) holds the columns
+    xs[j] to xs[j+1] and the rows ys[i] to ys[i+1], every tile non-empty.
+
+    A tile is covered when its four corner pixel centres pass the inside
+    test with a margin far above float64 rounding (see the module
+    docstring); the answer errs only towards not covered.
+    """
+    cx, cy, sw, sh, _ = footprint(photo, screen)
+    cos_t, sin_t = _rotation(photo)
+    margin = _slack(cx, cy, sw, sh, screen.width, screen.height)
+    # Centres of each tile's first and last column and row.
+    px = np.stack([xs[:-1], xs[1:] - 1], axis=1).reshape(-1) + 0.5 - cx
+    py = np.stack([ys[:-1], ys[1:] - 1], axis=1).reshape(-1)[:, None] + 0.5 - cy
+    lx = px * cos_t + py * sin_t + sw / 2.0
+    ly = -px * sin_t + py * cos_t + sh / 2.0
+    ok = (lx >= margin) & (lx <= sw - margin) & (ly >= margin) & (ly <= sh - margin)
+    return ok.reshape(len(ys) - 1, 2, len(xs) - 1, 2).all(axis=(1, 3))
+
+
 def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
-               screen: ScreenSpec) -> None:
+               screen: ScreenSpec, clip: Rect | None = None) -> None:
     """Composite prepared content onto the frame at the photo's transform.
 
-    Pixels outside the rotated footprint are untouched.
+    Pixels outside the rotated footprint, and outside `clip` when one is
+    given, are untouched; a pixel inside both is written exactly as by an
+    unclipped draw.
     """
     cx, cy, sw, sh, bbox = footprint(photo, screen)
-    clip = bbox.intersect(Rect(0, 0, frame.width, frame.height))
+    frame_rect = Rect(0, 0, frame.width, frame.height)
+    clip = bbox.intersect(frame_rect if clip is None else clip.intersect(frame_rect))
     if clip.is_empty():
         return
 
-    theta = math.radians(photo.angle)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    cos_t, sin_t = _rotation(photo)
     cw, ch = content.width, content.height
     texels = content.packed
     pixels = frame.packed
@@ -161,7 +232,7 @@ def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
     # by a pixel on each side.  The inside test below decides every pixel.
     py = np.arange(clip.y, clip.y2, dtype=np.float64) + 0.5 - cy
     py_sin, py_cos = py * sin_t, py * cos_t
-    eps = 1e-9 * (abs(cx) + abs(cy) + frame.width + frame.height + sw + sh + 1.0)
+    eps = _slack(cx, cy, sw, sh, frame.width, frame.height)
     u_lo, u_hi = _edge_span(cos_t, py_sin + sw / 2.0, sw, eps)
     v_lo, v_hi = _edge_span(-sin_t, py_cos + sh / 2.0, sh, eps)
     t0 = clip.x + 0.5 - cx

@@ -21,8 +21,10 @@ Error codes:
     5001  internal failure
 
 Errors always travel inside the response envelope, never as transport
-failures.  The wire carries RGB only; routed effect kinds never modify
-alpha, so the client re-attaches the original alpha plane.
+failures.  The wire carries RGB only.  An effect's output alpha depends
+only on its input alpha (the flips move it with the pixels), so the
+client rebuilds it from the input's alpha plane through the effect's
+registry row.
 """
 
 from __future__ import annotations
@@ -216,9 +218,7 @@ def route_effect(backend: BackendKind, image: RasterImage, spec: fx.EffectSpec,
         raise FailoverError(response.get("error_code") or ERR_INTERNAL,
                             response.get("message", "unknown failure"))
     result = decode_image(response["payload"]["image"])
-    if (result.width, result.height) == (image.width, image.height):
-        # Routed kinds are RGB-only; restore the alpha the wire dropped.
-        result.array[:, :, 3] = image.array[:, :, 3]
+    result.array[:, :, 3] = fx.effect_alpha(spec, image.array[:, :, 3])
     return result
 
 

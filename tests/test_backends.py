@@ -6,8 +6,8 @@ from scrapbook import effects as fx
 from scrapbook.backends import (CAPABILITIES, BackendKind, Capability,
                                 RenderConfig, SessionError,
                                 UnsupportedEffectError, begin_interaction,
-                                capability_check, redraw_units, render_full,
-                                report, update_units)
+                                capability_check, draw_units, redraw_units,
+                                render_full, report, update_units)
 from scrapbook.effects import EffectKind
 from scrapbook.image import RasterImage
 from scrapbook.photo import PhotoObject, move_to
@@ -189,6 +189,38 @@ def test_end_commits_and_matches_full_render():
     want, _ = render_full(BackendKind.RASTER, scene, sources, screen)
     assert frame == want
     assert cost.work_units == redraw_units(BackendKind.RASTER, scene.photos, screen)
+
+
+def overlapping_scene(rng):
+    """Four photos that overlap, with random opaque sources; the bottom
+    one, "a", is the one dragged."""
+    sources = {k: random_image(rng, max_side=40, opaque=True) for k in "abcd"}
+    scene = SceneDocument()
+    for key, center, angle in (("a", (60.0, 50.0), 20.0), ("b", (150.0, 110.0), 0.0),
+                               ("c", (90.0, 90.0), -35.0), ("d", (200.0, 60.0), 90.0)):
+        img = sources[key]
+        scene.add_photo(PhotoObject(id=key, source=key, source_size=(img.width, img.height),
+                                    scale=2.5, angle=angle, center=center))
+    return scene, sources.__getitem__
+
+
+@pytest.mark.parametrize("release", [(120.0, 70.0), (300.0, 235.0), (-400.0, 100.0),
+                                     (150.0, 110.0)],
+                         ids=["on-screen", "partly-off-screen", "off-screen",
+                              "beneath-others"])
+@pytest.mark.parametrize("backend", list(BackendKind), ids=lambda b: b.value)
+def test_end_frame_is_full_render_of_committed_scene(backend, release):
+    scene, sources = overlapping_scene(random.Random(7))
+    screen = ScreenSpec.identity(300, 240)
+    session = begin_interaction(backend, scene, sources, screen, "a")
+    session.update((100.0, 100.0))
+    frame, cost = session.end(release)
+    moved = scene.photo("a")
+    assert moved.center == release
+    want, _ = render_full(backend, scene, sources, screen)
+    assert frame == want
+    if backend.retained:
+        assert cost.work_units == draw_units(moved, screen)
 
 
 def test_end_cost_retained_is_photo_box():

@@ -226,3 +226,31 @@ def test_exp_c_screen_too_small_is_one_line_error(tmp_path, capsys, screen):
                                "--csv", str(out)])
     assert screen in err
     assert not out.exists()
+
+
+def _hidden_photo_scene(tmp_path, under):
+    """A scene whose photo "under" sits beneath a large opaque photo, or
+    off screen, with `under`'s source and crop as given."""
+    save_ppm(RasterImage.filled(8, 6, (10, 20, 30, 255)), tmp_path / "small.ppm")
+    save_ppm(RasterImage.filled(60, 60, (200, 90, 10, 255)), tmp_path / "large.ppm")
+    photos = [{"id": "under", "scale": 1, "angle": 0, "effects": [], "z": 0, **under},
+              {"id": "top", "source": "large.ppm", "crop": None, "scale": 8, "angle": 10,
+               "center": [500, 400], "effects": [], "z": 1}]
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"standard_viewport": [1024, 768], "z_base": 0,
+                                 "photos": photos}), encoding="utf-8")
+    return scene
+
+
+@pytest.mark.parametrize("under", [
+    {"source": "small.ppm", "crop": [100, 100, 5, 5], "center": [500, 400]},
+    {"source": "gone.ppm", "crop": None, "center": [500, 400]},
+    {"source": "small.ppm", "crop": [100, 100, 5, 5], "center": [-900, 400]},
+], ids=["hidden-crop-outside-source", "hidden-missing-source", "off-screen-crop-outside-source"])
+@pytest.mark.parametrize("backend", ["raster", "scenegraph", "legacy"])
+def test_hidden_photo_errors_are_one_line_errors(tmp_path, capsys, under, backend):
+    scene = _hidden_photo_scene(tmp_path, under)
+    err = _user_error(capsys, ["render", "--scene", str(scene), "--backend", backend,
+                               "--out", str(tmp_path / "f.ppm")])
+    assert "under" in err or "gone.ppm" in err
+    assert not (tmp_path / "f.ppm").exists()

@@ -171,6 +171,24 @@ def test_alpha_untouched_by_color_effects(rng):
         assert np.array_equal(apply_effect(img, spec).array[:, :, 3], img.array[:, :, 3])
 
 
+# Every kind, with opacity and border both ways round.
+ALPHA_SPECS = [fx.grayscale(), fx.invert(), fx.sepia(), fx.brightness(-40), fx.contrast(1.7),
+               fx.hue(77.0), fx.saturate(1.5), fx.desaturate(), fx.blackwhite(100),
+               fx.blur(), fx.sharpen(), fx.emboss(), fx.opacity(1.0), fx.opacity(0.6),
+               fx.flip_h(), fx.flip_v(), fx.border(2, (1, 2, 3, 255)),
+               fx.border(3, (1, 2, 3, 90)), fx.redeye(Rect(1, 1, 5, 4))]
+
+
+@pytest.mark.parametrize("spec", ALPHA_SPECS, ids=lambda s: s.kind.value)
+def test_registry_alpha_matches_apply(rng, spec):
+    img = random_image(rng, max_side=12)
+    alpha = fx.effect_alpha(spec, img.array[:, :, 3])
+    assert np.array_equal(alpha, apply_effect(img, spec).array[:, :, 3])
+    opaque = random_image(rng, max_side=12, opaque=True)
+    keeps = (apply_effect(opaque, spec).array[:, :, 3] == 255).all()
+    assert keeps != fx.lowers_alpha((spec,))
+
+
 def test_redeye_rule():
     img = RasterImage.filled(4, 1, (0, 0, 0, 255))
     img.set_pixel(0, 0, (200, 40, 60, 255))   # 200 > 1.5*60: hot

@@ -160,3 +160,23 @@ def test_special_angles_and_thin_content(angle, content_size):
             got, want = _draw_both(photo, content, screen, background)
             assert np.array_equal(got.rgb, want.rgb), f"{angle} {center} {scale}"
             assert (got.array[..., 3] == 255).all(), f"{angle} {center} {scale}"
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_clipped_draw_is_the_full_draw_inside_the_clip(block):
+    per_block = CASES // 8
+    for seed in range(block * per_block, (block + 1) * per_block):
+        photo, content, screen, background = _case(seed)
+        rng = random.Random(~seed)
+        x0, x1 = sorted(rng.randint(-10, screen.width + 10) for _ in range(2))
+        y0, y1 = sorted(rng.randint(-10, screen.height + 10) for _ in range(2))
+        clip = Rect(x0, y0, x1 - x0, y1 - y0)
+        full = Frame(screen.width, screen.height)
+        full.rgb[:] = background
+        clipped = full.copy()
+        draw_photo(full, photo, content, screen)
+        draw_photo(clipped, photo, content, screen, clip)
+        inside = np.zeros((screen.height, screen.width), dtype=bool)
+        inside[max(y0, 0):max(y1, 0), max(x0, 0):max(x1, 0)] = True
+        assert np.array_equal(clipped.rgb[inside], full.rgb[inside]), f"seed {seed}: {clip}"
+        assert np.array_equal(clipped.rgb[~inside], background[~inside]), f"seed {seed}: {clip}"

@@ -3,6 +3,7 @@ import socket
 import threading
 import urllib.request
 
+import numpy as np
 import pytest
 
 from scrapbook import effects as fx
@@ -163,6 +164,24 @@ def test_route_preserves_alpha_of_routed_rgb_effects(rng):
     img = random_image(rng, max_side=8)  # arbitrary alpha
     spec = fx.sharpen()  # legacy routes sharpen; sharpen never touches alpha
     assert route_effect(BackendKind.LEGACY, img, spec) == apply_effect(img, spec)
+
+
+def alpha_ramp_image(rng, width=60, height=40):
+    """Random colour over an alpha ramp along both axes, so a flip of the
+    alpha plane in either direction shows."""
+    arr = np.random.default_rng(rng.randrange(2 ** 32)).integers(
+        0, 256, (height, width, 4), dtype=np.uint8)
+    ys, xs = np.mgrid[0:height, 0:width]
+    arr[:, :, 3] = xs * 255 // (width - 1) // 2 + ys * 2
+    return RasterImage.from_array(arr)
+
+
+@pytest.mark.parametrize("backend,kind", list(unsupported_pairs()),
+                         ids=lambda v: getattr(v, "value", v))
+def test_routed_step_moves_alpha_like_apply_effect(backend, kind, rng):
+    img = alpha_ramp_image(rng)
+    spec = spec_for(kind)
+    assert route_effect(backend, img, spec) == apply_effect(img, spec)
 
 
 def test_route_error_surfaces_as_failover_error():
