@@ -7,8 +7,8 @@ single-endpoint processing service and a deterministic benchmark harness
 on a virtual clock.
 """
 
-from .backends import (BackendKind, Capability, CostReport, RenderConfig,
-                       begin_interaction, capability_check, render_full)
+from .backends import (BackendKind, Capability, CostReport, begin_interaction,
+                       capability_check, render_full)
 from .effects import EffectKind, EffectSpec, apply_chain, apply_effect, convolve3x3
 from .geometry import Rect
 from .image import RasterImage, load_ppm, save_ppm
@@ -21,7 +21,7 @@ from .zorder import ZOrderArray
 __version__ = "0.1.0"
 
 __all__ = [
-    "BackendKind", "Capability", "CostReport", "RenderConfig", "EffectKind",
+    "BackendKind", "Capability", "CostReport", "EffectKind",
     "EffectSpec", "Rect", "RasterImage", "PhotoObject", "SceneDocument",
     "ScreenSpec", "ZOrderArray", "apply_chain", "apply_effect",
     "begin_interaction", "capability_check", "convolve3x3", "crop_photo",

@@ -16,17 +16,17 @@ already covered by opaque photos above it is culled, so it is neither
 prepared nor drawn, and each kept photo's draw is clipped to the bounding
 rect of its uncovered tiles.  A tile counts as covered only where the
 rasterizer provably writes every pixel of it (see `raster`), so frames
-are bit-identical to drawing every photo in full.  A retained `end`
-copies the session's static layer and repaints only the box at rest,
-through the same pass; a raster `end` repaints the whole screen.  The
-culling changes wall time only: the charges below stay those of drawing
-every photo.
+are bit-identical to drawing every photo in full.  Every strategy runs
+the same pixel code: an `end` copies the session's static layer and
+repaints only the box at rest, through the same pass.  Strategies differ
+only in their capability tables and in what they are charged, and the
+charges below stay those of drawing every photo.
 
 Work accounting is analytic and deterministic: one work unit is one pixel
 written, where a photo draw is charged as its outward-rounded screen
 bounding box and an effect application as the pixel area it processes.
-Virtual time is work_units / throughput + a fixed per-operation overhead;
-the wall clock is never consulted.
+Virtual time is work_units / throughput, in pixels per virtual ms
+(DEFAULT_THROUGHPUT unless given); the wall clock is never consulted.
 
 One redraw rule sets the charges: a redraw of a photo list costs the
 clear (raster only, the whole screen) plus each photo's bbox + fx, where fx
@@ -45,7 +45,6 @@ formula.  Per operation and strategy:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
@@ -97,10 +96,6 @@ def capability_check(backend: BackendKind, kind: EffectKind) -> Capability:
     return Capability.FALLBACK_NEEDED
 
 
-def supports_chain(backend: BackendKind, photo: PhotoObject) -> bool:
-    return all(spec.kind in CAPABILITIES[backend] for spec in photo.effects)
-
-
 class UnsupportedEffectError(RuntimeError):
     """An unsupported effect reached the rasterizer; the caller should have
     routed it through the failover service first."""
@@ -110,11 +105,8 @@ class SessionError(RuntimeError):
     """Interaction session misuse: nested begin or double end."""
 
 
-@dataclass(frozen=True)
-class RenderConfig:
-    throughput_px_per_ms: float = 1000.0
-    overhead_ms: float = 0.0
-    remote_latency_ms: float = 50.0
+# Renderer speed in pixels per virtual ms when none is given.
+DEFAULT_THROUGHPUT = 1000.0
 
 
 @dataclass(frozen=True)
@@ -131,12 +123,8 @@ class CostReport:
                           self.frames + other.frames)
 
 
-def report(units: int, config: RenderConfig, frames: int = 1) -> CostReport:
-    if math.isinf(config.throughput_px_per_ms):
-        ms = config.overhead_ms
-    else:
-        ms = units / config.throughput_px_per_ms + config.overhead_ms
-    return CostReport(units, ms, frames)
+def report(units: int, throughput: float = DEFAULT_THROUGHPUT, frames: int = 1) -> CostReport:
+    return CostReport(units, units / throughput, frames)
 
 
 # --- work-unit arithmetic (pure; used by renders and by the harness) ---
@@ -195,9 +183,8 @@ SourceResolver = Callable[[str], RasterImage]
 
 def _check_chains(backend: BackendKind, scene: SceneDocument) -> None:
     for photo in scene.photos:
-        if not supports_chain(backend, photo):
-            bad = [s.kind.value for s in photo.effects
-                   if s.kind not in CAPABILITIES[backend]]
+        bad = [s.kind.value for s in photo.effects if s.kind not in CAPABILITIES[backend]]
+        if bad:
             raise UnsupportedEffectError(
                 f"photo {photo.id!r}: {bad} not supported by {backend.value}; "
                 f"route through the failover service first")
@@ -264,12 +251,12 @@ def _paint(photos, sources: SourceResolver, screen: ScreenSpec,
 
 
 def render_full(backend: BackendKind, scene: SceneDocument, sources: SourceResolver,
-                screen: ScreenSpec, config: RenderConfig = RenderConfig()
+                screen: ScreenSpec, throughput: float = DEFAULT_THROUGHPUT
                 ) -> tuple[Frame, CostReport]:
     """Composite the scene back-to-front into a fresh frame."""
     _check_chains(backend, scene)
     return (_paint(scene.photos, sources, screen),
-            report(redraw_units(backend, scene.photos, screen), config))
+            report(redraw_units(backend, scene.photos, screen), throughput))
 
 
 class InteractionSession:
@@ -280,15 +267,15 @@ class InteractionSession:
     """
 
     def __init__(self, backend: BackendKind, scene: SceneDocument,
-                 sources: SourceResolver, screen: ScreenSpec,
-                 config: RenderConfig, photo_id: str):
+                 sources: SourceResolver, screen: ScreenSpec, photo_id: str,
+                 throughput: float = DEFAULT_THROUGHPUT):
         if getattr(scene, "_active_session", None) is not None:
             raise SessionError("scene already has an active interaction session")
         self.backend = backend
         self.scene = scene
         self.sources = sources
         self.screen = screen
-        self.config = config
+        self.throughput = throughput
         self.photo = scene.photo(photo_id)  # KeyError on unknown id
         _check_chains(backend, scene)
         self.center = self.photo.center
@@ -300,18 +287,12 @@ class InteractionSession:
         draw_photo(self._work, self.photo, self._content, screen)
         # Raster renders the static layer once; retained nodes just detach.
         units = 0 if backend.retained else redraw_units(backend, statics, screen)
-        self.begin_cost = report(units, config, frames=0 if backend.retained else 1)
+        self.begin_cost = report(units, throughput, frames=0 if backend.retained else 1)
         scene._active_session = self
 
     def frame(self) -> Frame:
         """Snapshot of the current composite: statics plus the photo on top."""
         return self._work.copy()
-
-    def _restore_background(self, box: Rect) -> None:
-        clip = box.intersect(Rect(0, 0, self.screen.width, self.screen.height))
-        if not clip.is_empty():
-            self._work.array[clip.y:clip.y2, clip.x:clip.x2] = \
-                self._bg.array[clip.y:clip.y2, clip.x:clip.x2]
 
     def update(self, new_center) -> tuple[Frame, CostReport]:
         """Move the interactive photo; only the damaged boxes recomposite.
@@ -323,11 +304,13 @@ class InteractionSession:
             raise SessionError("session already ended")
         units = update_units(self.backend, self.photo, self.screen,
                              self.center, new_center)
-        self._restore_background(screen_bbox(self.photo, self.screen, self.center))
+        old = screen_bbox(self.photo, self.screen, self.center).intersect(
+            Rect(0, 0, self.screen.width, self.screen.height))
+        self._work.array[old.y:old.y2, old.x:old.x2] = self._bg.array[old.y:old.y2, old.x:old.x2]
         self.center = (float(new_center[0]), float(new_center[1]))
         draw_photo(self._work, move_to(self.photo, *self.center), self._content,
                    self.screen)
-        return self._work, report(units, self.config)
+        return self._work, report(units, self.throughput)
 
     def end(self, final_center=None) -> tuple[Frame, CostReport]:
         """Commit the drag and recomposite at the photo's true z position.
@@ -342,17 +325,16 @@ class InteractionSession:
         self.closed = True
         self.scene._active_session = None
         moved = self.scene.replace_photo(move_to(self.photo, *self.center))
-        if self.backend.retained:
-            # Retained nodes recomposite only the box at rest over the statics.
-            box = screen_bbox(moved, self.screen)
-            frame = _paint(self.scene.photos, self.sources, self.screen, self._bg.copy(), box)
-            return frame, report(draw_units(moved, self.screen), self.config)
-        return (_paint(self.scene.photos, self.sources, self.screen),
-                report(redraw_units(self.backend, self.scene.photos, self.screen), self.config))
+        frame = _paint(self.scene.photos, self.sources, self.screen, self._bg.copy(),
+                       screen_bbox(moved, self.screen))
+        # Raster is charged a redraw of everything; retained nodes only the box.
+        units = (draw_units(moved, self.screen) if self.backend.retained
+                 else redraw_units(self.backend, self.scene.photos, self.screen))
+        return frame, report(units, self.throughput)
 
 
 def begin_interaction(backend: BackendKind, scene: SceneDocument,
                       sources: SourceResolver, screen: ScreenSpec,
-                      photo_id: str, config: RenderConfig = RenderConfig()
+                      photo_id: str, throughput: float = DEFAULT_THROUGHPUT
                       ) -> InteractionSession:
-    return InteractionSession(backend, scene, sources, screen, config, photo_id)
+    return InteractionSession(backend, scene, sources, screen, photo_id, throughput)

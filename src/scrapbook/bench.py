@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import effects as fx
-from .backends import (BackendKind, RenderConfig, attr_change_units,
+from .backends import (DEFAULT_THROUGHPUT, BackendKind, attr_change_units,
                        begin_interaction, load_units, report)
 from .geometry import Rect, rotated_extents, round_half_up
 from .image import RasterImage
@@ -151,7 +151,7 @@ def _exp_a_apply(photo: PhotoObject, op: str) -> PhotoObject:
 
 
 def exp_a_run(backends=ALL_BACKENDS, sizes=EXP_SIZES, ops=EXP_A_OPS,
-              throughput: float = 1000.0, quantize: float | None = None,
+              throughput: float = DEFAULT_THROUGHPUT, quantize: float | None = None,
               sources=None, trials: int = 2) -> list[ExpATrial]:
     """Application-time trials for every (backend, image, op).
 
@@ -160,7 +160,6 @@ def exp_a_run(backends=ALL_BACKENDS, sizes=EXP_SIZES, ops=EXP_A_OPS,
     the operation is applied, and the synchronous work is timed.
     """
     sources = sources or photo_pool()
-    config = RenderConfig(throughput_px_per_ms=throughput)
     rows = []
     for backend in backends:
         for w, h in sizes:
@@ -177,7 +176,7 @@ def exp_a_run(backends=ALL_BACKENDS, sizes=EXP_SIZES, ops=EXP_A_OPS,
                         center=(w / 2.0, h / 2.0)))
                     after = _exp_a_apply(before, op)
                     units = attr_change_units(backend, scene, screen, before, after)
-                    cost = report(units, config)
+                    cost = report(units, throughput)
                     for trial in range(1, trials + 1):
                         rows.append(ExpATrial(backend.value, name, op, trial,
                                               _reported(cost.virtual_ms, quantize),
@@ -259,7 +258,7 @@ def _frame_targets(trace: MouseTrace) -> list[tuple[float, int]]:
 
 
 def exp_b_run(backend: BackendKind, photo_size: tuple[int, int],
-              effect: str | None = None, throughput: float = 1000.0,
+              effect: str | None = None, throughput: float = DEFAULT_THROUGHPUT,
               sources=None, screen_size: tuple[int, int] = SIM_SCREEN) -> ExpBResult:
     """Replay the recorded drag through an interaction session.
 
@@ -274,7 +273,6 @@ def exp_b_run(backend: BackendKind, photo_size: tuple[int, int],
     if (w, h) not in EXP_SIZES:
         raise ValueError(f"photo size {w}x{h} not in the test set")
     sources = sources or photo_pool()
-    config = RenderConfig(throughput_px_per_ms=throughput)
     screen = ScreenSpec.identity(*screen_size)
 
     scene = SceneDocument()
@@ -288,7 +286,7 @@ def exp_b_run(backend: BackendKind, photo_size: tuple[int, int],
     trace = make_mouse_trace()
     positions = [(grab[0] + s.x, grab[1] + s.y) for s in trace.samples]
 
-    session = begin_interaction(backend, scene, sources, screen, "subject", config)
+    session = begin_interaction(backend, scene, sources, screen, "subject", throughput)
     clock = session.begin_cost.virtual_ms
     busy = session.begin_cost.virtual_ms
     frames = 0
@@ -437,7 +435,7 @@ class ExpCResult:
 PROBE_PHOTO_INDEX = 5  # the first centre-positioned photo
 
 
-def exp_c_run(backend: BackendKind, seed: int = 0, throughput: float = 1000.0,
+def exp_c_run(backend: BackendKind, seed: int = 0, throughput: float = DEFAULT_THROUGHPUT,
               rules: StopRules = StopRules(), quantize: float | None = None,
               screen_size: tuple[int, int] = SIM_SCREEN) -> ExpCResult:
     """Load photos per the script until a stop rule fires.
@@ -447,7 +445,6 @@ def exp_c_run(backend: BackendKind, seed: int = 0, throughput: float = 1000.0,
     (the rotation is not kept), so successive probes compare like for
     like.  Work accounting is analytic, so no frames are produced.
     """
-    config = RenderConfig(throughput_px_per_ms=throughput)
     screen = ScreenSpec.identity(*screen_size)
     scene = SceneDocument()
     rows: list[ExpCProbe] = []
@@ -456,7 +453,7 @@ def exp_c_run(backend: BackendKind, seed: int = 0, throughput: float = 1000.0,
 
     for i in range(1, rules.max_photos + 1):
         photo = scene.add_photo(plan_photo(sim_plan(i, seed, screen_size)))
-        load_ms = report(load_units(backend, scene, screen), config).virtual_ms
+        load_ms = report(load_units(backend, scene, screen), throughput).virtual_ms
         if load_ms > rules.load_timeout_ms:
             stop_rule, stopped_at = "load_timeout", i
             break
@@ -464,7 +461,7 @@ def exp_c_run(backend: BackendKind, seed: int = 0, throughput: float = 1000.0,
             probe_before = scene.photo(f"photo{PROBE_PHOTO_INDEX:03d}")
             probe_after = rotate_by(probe_before, PROBE_DEGREES)
             units = attr_change_units(backend, scene, screen, probe_before, probe_after)
-            probe_ms = report(units, config).virtual_ms
+            probe_ms = report(units, throughput).virtual_ms
             rows.append(ExpCProbe(backend.value, i, _reported(probe_ms, quantize)))
             if probe_ms > rules.unresponsive_timeout_ms:
                 stop_rule, stopped_at = "unresponsive", i

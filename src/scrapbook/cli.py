@@ -4,13 +4,14 @@ failover service and the three experiment harnesses."""
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 from . import bench
-from .backends import BackendKind, RenderConfig, render_full
+from .backends import DEFAULT_THROUGHPUT, BackendKind, render_full
 from .effects import EffectKind, EffectParamError, EffectSpec, apply_effect
 from .image import PpmError, load_ppm, save_ppm
 from .photo import PhotoError
@@ -30,6 +31,15 @@ def _parse_size(text: str) -> tuple[int, int]:
     return w, h
 
 
+def _exp_size(text: str) -> tuple[int, int]:
+    size = _parse_size(text)
+    if size not in bench.EXP_SIZES:
+        raise argparse.ArgumentTypeError(
+            f"photo size must be one of {[f'{w}x{h}' for w, h in bench.EXP_SIZES]}, "
+            f"got {text!r}")
+    return size
+
+
 def _throughput(text: str) -> float:
     value = float(text)  # argparse reports a ValueError as an invalid value
     if not value > 0:
@@ -44,12 +54,14 @@ def _quantum(text: str) -> float:
     return value
 
 
-def _max_photos(text: str) -> int:
-    value = int(text)
-    if not 1 <= value <= bench.SIM_PHOTOS:
-        raise argparse.ArgumentTypeError(
-            f"max photos must be in 1..{bench.SIM_PHOTOS}, got {text!r}")
-    return value
+def _int_in(lo: int, hi: int, what: str):
+    """An argparse type: an int in lo..hi."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{what} must be in {lo}..{hi}, got {text!r}")
+        return value
+    return integer
 
 
 def _parse_param(text: str):
@@ -75,17 +87,8 @@ def _backend(text: str) -> BackendKind:
 
 
 def _file_resolver(base: Path):
-    cache = {}
-
-    def resolve(source: str):
-        if source not in cache:
-            path = Path(source)
-            if not path.is_absolute():
-                path = base / path
-            cache[source] = load_ppm(path)
-        return cache[source]
-
-    return resolve
+    """Source name -> image, read once, relative to `base` unless absolute."""
+    return functools.cache(lambda source: load_ppm(base / source))
 
 
 def _cmd_effects(args) -> int:
@@ -104,11 +107,10 @@ def _cmd_render(args) -> int:
                                             sources(p.source).height))
                     for p in scene.photos]
     screen = ScreenSpec.fit(*args.screen)
-    config = RenderConfig(throughput_px_per_ms=args.throughput)
     client = HttpClient(args.service) if args.service else LocalClient()
     scene, sources, failover_cost = resolve_scene(args.backend, scene, sources,
-                                                  client, config)
-    frame, cost = render_full(args.backend, scene, sources, screen, config)
+                                                  client, args.throughput)
+    frame, cost = render_full(args.backend, scene, sources, screen, args.throughput)
     cost = cost + failover_cost
     save_ppm(frame, args.out)
     if args.cost:
@@ -205,17 +207,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_render.add_argument("--screen", type=_parse_size, default=(1024, 768))
     p_render.add_argument("--out", required=True)
     p_render.add_argument("--cost", help="also write a cost report CSV")
-    p_render.add_argument("--throughput", type=_throughput, default=1000.0)
+    p_render.add_argument("--throughput", type=_throughput, default=DEFAULT_THROUGHPUT)
     p_render.add_argument("--service", help="failover service base URL "
                           "(default: in-process)")
     p_render.set_defaults(func=_cmd_render)
 
     p_serve = sub.add_parser("serve", help="run the processing service")
-    p_serve.add_argument("--port", type=int, default=8080)
+    p_serve.add_argument("--port", type=_int_in(0, 65535, "port"), default=8080)
     p_serve.add_argument("--store", help="directory of <key>.ppm images")
     p_serve.set_defaults(func=_cmd_serve)
 
-    common = {"--throughput": dict(type=_throughput, default=1000.0,
+    common = {"--throughput": dict(type=_throughput, default=DEFAULT_THROUGHPUT,
                                    help="renderer speed in pixels per virtual ms"),
               "--csv": dict(default=None, help="CSV output path (default stdout)"),
               "--plot": dict(default=None, help="SVG chart output path")}
@@ -230,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_b = sub.add_parser("exp-b", help="scripted mouse-move replay")
     p_b.add_argument("--backend", type=_backend, required=True)
-    p_b.add_argument("--size", type=_parse_size, default=None,
-                     help="photo size WxH; default runs all four")
+    p_b.add_argument("--size", type=_exp_size, default=None,
+                     help="photo size WxH, one of the four test sizes; default runs all four")
     p_b.add_argument("--effect", choices=["invert"], default=None)
     p_b.add_argument("--screen", type=_parse_size, default=(1920, 1200))
     for flag, kw in common.items():
@@ -243,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_c.add_argument("--seed", type=int, default=0,
                      help="placement seed; every photo lands fully on screen and is "
                           "charged its whole box, so the CSV is the same for any seed")
-    p_c.add_argument("--max-photos", type=_max_photos, default=bench.SIM_PHOTOS)
+    p_c.add_argument("--max-photos", type=_int_in(1, bench.SIM_PHOTOS, "max photos"),
+                     default=bench.SIM_PHOTOS)
     p_c.add_argument("--screen", type=_parse_size, default=(1920, 1200))
     p_c.add_argument("--quantize-clock", type=_quantum, default=None, metavar="MS")
     for flag, kw in common.items():

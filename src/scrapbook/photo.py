@@ -71,9 +71,18 @@ def content_size(photo: PhotoObject) -> tuple[int, int]:
     return chain_output_size(rect.w, rect.h, photo.effects)
 
 
+# Bound on a photo's sides in pixels, before and after scaling: far above
+# any screen, and low enough that box areas and costs stay finite floats.
+MAX_DISPLAY_SIDE = 2 ** 24
+
+
 def display_size(photo: PhotoObject) -> tuple[int, int]:
-    """On-viewport size in standard pixels: content scaled, never below 1x1."""
+    """On-viewport size in standard pixels: content scaled, never below 1x1.
+    PhotoError unless every side is below MAX_DISPLAY_SIDE, scaled or not."""
     w, h = content_size(photo)
+    if not (max(w, h) < MAX_DISPLAY_SIDE and max(w, h) * photo.scale < MAX_DISPLAY_SIDE):
+        raise PhotoError(f"photo {photo.id!r}: a side at or above {MAX_DISPLAY_SIDE} px, "
+                         f"before or after scale {photo.scale}")
     return (max(1, round_half_up(w * photo.scale)),
             max(1, round_half_up(h * photo.scale)))
 

@@ -140,8 +140,11 @@ def _edge_span(a: float, b: np.ndarray, size: float, eps: float):
     if a == 0.0:
         ok = (b >= -eps) & (b <= size + eps)
         return np.where(ok, -np.inf, np.inf), np.where(ok, np.inf, -np.inf)
-    lo = (-eps - b) / a
-    hi = (size + eps - b) / a
+    # A slope tiny enough to overflow a bound is an edge all but parallel to
+    # the rows: +-inf bounds it correctly, and the caller clips it as any far bound.
+    with np.errstate(over="ignore"):
+        lo = (-eps - b) / a
+        hi = (size + eps - b) / a
     return (lo, hi) if a > 0 else (hi, lo)
 
 

@@ -49,16 +49,13 @@ class SceneDocument:
     """Mutable container; at most one thread mutates a scene at a time."""
 
     def __init__(self, z_base: int = 0):
-        self.standard_viewport = STANDARD_VIEWPORT
         self.z_base = z_base
         self.photos: list[PhotoObject] = []
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SceneDocument):
             return NotImplemented
-        return (self.standard_viewport == other.standard_viewport
-                and self.z_base == other.z_base
-                and self.photos == other.photos)
+        return self.z_base == other.z_base and self.photos == other.photos
 
     def ids(self) -> list[str]:
         return [p.id for p in self.photos]
@@ -122,7 +119,7 @@ def _photo_to_dict(photo: PhotoObject, z: int) -> dict:
 
 def scene_save(scene: SceneDocument) -> str:
     doc = {
-        "standard_viewport": list(scene.standard_viewport),
+        "standard_viewport": list(STANDARD_VIEWPORT),
         "z_base": scene.z_base,
         "photos": [_photo_to_dict(p, scene.z_base + i) for i, p in enumerate(scene.photos)],
     }

@@ -40,8 +40,8 @@ from pathlib import Path
 
 from . import effects as fx
 from . import raster
-from .backends import (BackendKind, Capability, CostReport, RenderConfig,
-                       capability_check, report, supports_chain)
+from .backends import (CAPABILITIES, DEFAULT_THROUGHPUT, BackendKind, Capability,
+                       CostReport, capability_check, report)
 from .image import PpmError, RasterImage, decode_ppm, encode_ppm, load_ppm
 from .scene import SceneDocument
 
@@ -52,6 +52,9 @@ ERR_BAD_IMAGE = 4004
 ERR_INTERNAL = 5001
 
 _STORE_PREFIX = "store:"
+
+# Virtual ms one effect routed to the service costs, in place of local work.
+REMOTE_LATENCY_MS = 50.0
 
 # Largest request body the HTTP server reads, 64 MiB: the base64 of the
 # largest image an effect may produce, far above what the repo sends.
@@ -223,7 +226,7 @@ def route_effect(backend: BackendKind, image: RasterImage, spec: fx.EffectSpec,
 
 
 def resolve_scene(backend: BackendKind, scene, sources, client=None,
-                  config: RenderConfig = RenderConfig()):
+                  throughput: float = DEFAULT_THROUGHPUT):
     """Bake every chain the backend cannot run, before rendering.
 
     Photos whose chains are fully supported pass through untouched; the
@@ -237,7 +240,7 @@ def resolve_scene(backend: BackendKind, scene, sources, client=None,
     local_pixels = 0
     remote_calls = 0
     for photo in scene.photos:
-        if supports_chain(backend, photo):
+        if all(spec.kind in CAPABILITIES[backend] for spec in photo.effects):
             photos.append(photo)
             continue
         result = raster.prepare_content(replace(photo, effects=()), sources(photo.source))
@@ -258,8 +261,8 @@ def resolve_scene(backend: BackendKind, scene, sources, client=None,
     def resolver(key: str) -> RasterImage:
         return baked[key] if key in baked else sources(key)
 
-    cost = (report(local_pixels, config, frames=0)
-            + CostReport(0, remote_calls * config.remote_latency_ms))
+    cost = (report(local_pixels, throughput, frames=0)
+            + CostReport(0, remote_calls * REMOTE_LATENCY_MS))
     return resolved, resolver, cost
 
 

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from scrapbook import effects as fx
-from scrapbook.backends import (CAPABILITIES, BackendKind, Capability,
-                                RenderConfig, SessionError,
+from scrapbook.backends import (CAPABILITIES, BackendKind, Capability, SessionError,
                                 UnsupportedEffectError, begin_interaction,
                                 capability_check, draw_units, redraw_units,
                                 render_full, report, update_units)
@@ -89,10 +88,9 @@ def test_render_cost_counts_effect_pixels():
 
 
 def test_virtual_time_from_throughput():
-    cfg = RenderConfig(throughput_px_per_ms=2000.0, overhead_ms=3.0)
-    cost = report(10000, cfg)
-    assert cost.virtual_ms == 10000 / 2000.0 + 3.0
-    assert report(12345, RenderConfig(throughput_px_per_ms=float("inf"))).virtual_ms == 0.0
+    cost = report(10000, 2000.0)
+    assert cost.virtual_ms == 10000 / 2000.0
+    assert report(12345, float("inf")).virtual_ms == 0.0
 
 
 def test_cost_content_independent(rng):

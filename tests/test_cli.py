@@ -139,6 +139,9 @@ def test_unknown_backend_rejected(capsys):
     ["exp-b", "--backend", "raster", "--size", "0x360"],
     ["render", "--scene", "s.json", "--backend", "raster", "--out", "f.ppm",
      "--screen", "1024x0"],
+    ["serve", "--port", "70000"],
+    ["serve", "--port", "-1"],
+    ["exp-b", "--backend", "raster", "--size", "100x100"],
 ], ids=" ".join)
 def test_bad_number_argument_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -190,16 +193,23 @@ def test_missing_input_file_is_one_line_error(tmp_path, capsys):
                          "--backend", "raster", "--out", str(tmp_path / "f.ppm")])
 
 
-# A well-formed document whose crop lies outside its 8x6 source.
-_CROP_OUTSIDE_SOURCE = json.dumps(
-    {"standard_viewport": [1024, 768], "z_base": 0,
-     "photos": [{"id": "a", "source": "photo.ppm", "crop": [100, 100, 5, 5], "scale": 1,
-                 "angle": 0, "center": [500, 400], "effects": [], "z": 0}]})
+def _one_photo_scene(crop=None, scale=1):
+    """A well-formed document of one photo over the 8x6 photo.ppm."""
+    return json.dumps(
+        {"standard_viewport": [1024, 768], "z_base": 0,
+         "photos": [{"id": "a", "source": "photo.ppm", "crop": crop, "scale": scale,
+                     "angle": 0, "center": [500, 400], "effects": [], "z": 0}]})
 
 
-@pytest.mark.parametrize("text", ['{"photos": 3}', "not json", '{"standard_viewport": [',
-                                  pytest.param(_CROP_OUTSIDE_SOURCE,
-                                               id="crop-outside-source")])
+@pytest.mark.parametrize("text", [
+    '{"photos": 3}', "not json", '{"standard_viewport": [',
+    pytest.param(_one_photo_scene(crop=[100, 100, 5, 5]), id="crop-outside-source"),
+    pytest.param(_one_photo_scene(scale=1e308), id="scale-1e308"),
+    pytest.param(_one_photo_scene(scale=1e300), id="scale-1e300"),
+    pytest.param(_one_photo_scene(crop=[0, 0, 10 ** 160, 10 ** 160]), id="crop-1e160"),
+    pytest.param(_one_photo_scene(crop=[0, 0, 10 ** 400, 10 ** 400], scale=1e-300),
+                 id="crop-past-float-range"),
+])
 def test_malformed_scene_is_one_line_error(tmp_path, capsys, text):
     save_ppm(RasterImage.filled(8, 6, (10, 20, 30, 255)), tmp_path / "photo.ppm")
     scene = tmp_path / "scene.json"

@@ -73,7 +73,7 @@ def scenes(draw):
         if draw(st.booleans()):
             x, y = draw(st.integers(0, source.width - 1)), draw(st.integers(0, source.height - 1))
             crop = Rect(x, y, draw(st.integers(1, 40)), draw(st.integers(1, 40)))
-        angle = draw(st.sampled_from(SPECIAL_ANGLES) | st.floats(-360, 360, width=32))
+        angle = draw(st.sampled_from(SPECIAL_ANGLES) | st.floats(-360, 360))
         photos.append(PhotoObject(
             id=f"p{i}", source=f"s{i}", source_size=(source.width, source.height),
             crop=crop, scale=draw(st.floats(0.5, 4.0)) / float(screen.scale), angle=angle,
@@ -119,7 +119,7 @@ def test_a_covered_tile_is_drawn_in_full(data):
     photo = PhotoObject(
         id="p", source="s", source_size=size,
         scale=draw(st.floats(0.5, 4.0)) / float(screen.scale),
-        angle=draw(st.sampled_from(SPECIAL_ANGLES) | st.floats(-360, 360, width=32)),
+        angle=draw(st.sampled_from(SPECIAL_ANGLES) | st.floats(-360, 360)),
         center=_center(draw, screen))
     cuts = st.lists(st.integers(1, 59), max_size=8)
     xs = np.array(sorted({0, w} | {x for x in draw(cuts) if x < w}))
@@ -145,15 +145,8 @@ def _stack(top_effects=()):
     return scene, sources
 
 
-@pytest.mark.parametrize("top_effects,drawn", [
-    ((), ["top"]),
-    ((fx.opacity(0.9),), ["under", "top"]),
-    ((fx.border(2, (0, 0, 0, 100)),), ["under", "top"]),
-    ((fx.border(2, (0, 0, 0, 255)), fx.invert()), ["top"]),
-])
-def test_only_photos_that_can_show_are_prepared_and_drawn(monkeypatch, top_effects, drawn):
-    scene, sources = _stack(top_effects)
-    screen = ScreenSpec.identity(100, 100)
+def log_paint(monkeypatch):
+    """The ids `backends` prepares and draws, in call order, from now on."""
     prepared, painted = [], []
     prepare, draw = backends.prepare_content, backends.draw_photo
 
@@ -167,9 +160,45 @@ def test_only_photos_that_can_show_are_prepared_and_drawn(monkeypatch, top_effec
 
     monkeypatch.setattr(backends, "prepare_content", logged_prepare)
     monkeypatch.setattr(backends, "draw_photo", logged_draw)
+    return prepared, painted
+
+
+@pytest.mark.parametrize("top_effects,drawn", [
+    ((), ["top"]),
+    ((fx.opacity(0.9),), ["under", "top"]),
+    ((fx.border(2, (0, 0, 0, 100)),), ["under", "top"]),
+    ((fx.border(2, (0, 0, 0, 255)), fx.invert()), ["top"]),
+])
+def test_only_photos_that_can_show_are_prepared_and_drawn(monkeypatch, top_effects, drawn):
+    scene, sources = _stack(top_effects)
+    screen = ScreenSpec.identity(100, 100)
+    prepared, painted = log_paint(monkeypatch)
     frame, _ = render_full(BackendKind.RASTER, scene, sources.__getitem__, screen)
     assert prepared == painted == drawn
     assert frame == plain_paint(scene.photos, sources.__getitem__, screen)
+
+
+@pytest.mark.parametrize("backend", list(BackendKind), ids=lambda b: b.value)
+def test_end_repaints_only_the_box_at_rest(monkeypatch, backend):
+    """Every strategy's `end` prepares and draws only the photos whose box
+    meets the dragged photo's box at rest, and is charged as before."""
+    source = RasterImage.filled(20, 20, (40, 120, 200, 128))
+    scene = SceneDocument()
+    for pid, center in (("left", (30.0, 50.0)), ("right", (170.0, 50.0)),
+                        ("low", (100.0, 170.0)), ("dragged", (100.0, 100.0))):
+        scene.add_photo(PhotoObject(id=pid, source="s", source_size=(20, 20),
+                                    center=center))
+    screen = ScreenSpec.identity(200, 200)
+    session = backends.begin_interaction(backend, scene, lambda key: source, screen,
+                                         "dragged")
+    session.update((60.0, 80.0))
+    prepared, painted = log_paint(monkeypatch)
+    frame, cost = session.end((35.0, 55.0))
+    assert prepared == painted == ["left", "dragged"]
+    assert frame == plain_paint(scene.photos, lambda key: source, screen)
+    want = (backends.draw_units(scene.photo("dragged"), screen) if backend.retained
+            else backends.redraw_units(backend, scene.photos, screen))
+    assert cost.work_units == want
 
 
 # --- a hidden photo fails as a drawn one does -------------------------------------

@@ -7,6 +7,7 @@ a random background and requires bitwise equality of the whole frame.
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,26 @@ def test_special_angles_and_thin_content(angle, content_size):
             got, want = _draw_both(photo, content, screen, background)
             assert np.array_equal(got.rgb, want.rgb), f"{angle} {center} {scale}"
             assert (got.array[..., 3] == 255).all(), f"{angle} {center} {scale}"
+
+
+# Angles so close to zero that an edge's span bound overflows to +-inf.
+TINY_ANGLES = (1e-306, 1e-307, 3e-308, -1e-306, -3e-308)
+
+
+@pytest.mark.parametrize("angle", TINY_ANGLES)
+def test_tiny_angles_match_mgrid_kernel_without_warnings(angle):
+    nprng = np.random.default_rng(11)
+    content = RasterImage.from_array(nprng.integers(0, 256, (30, 40, 4), dtype=np.uint8))
+    screen = ScreenSpec.identity(400, 400)
+    background = nprng.integers(0, 256, (400, 400, 3), dtype=np.uint8)
+    for center in ((200.0, 200.0), (0.0, 0.0), (399.5, 200.25), (-10.0, 390.0)):
+        for scale in (0.5, 1.0, 3.0):
+            photo = PhotoObject(id="p", source="s", source_size=(40, 30),
+                                scale=scale, angle=angle, center=center)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, want = _draw_both(photo, content, screen, background)
+            assert np.array_equal(got.rgb, want.rgb), f"{angle} {center} {scale}"
 
 
 @pytest.mark.parametrize("block", range(2))

@@ -17,7 +17,7 @@ from scrapbook.scene import SceneDocument
 from scrapbook.service import (ERR_BAD_IMAGE, ERR_INTERNAL,
                                ERR_MALFORMED_ARGS, ERR_UNKNOWN_EFFECT,
                                ERR_UNKNOWN_OP, FailoverError, HttpClient,
-                               LocalClient,
+                               LocalClient, REMOTE_LATENCY_MS,
                                ServiceUnreachableError, decode_image, dispatch,
                                encode_image, make_apply_request,
                                make_ping_request, make_server, resolve_scene,
@@ -195,7 +195,7 @@ def test_route_error_surfaces_as_failover_error():
 
 
 def test_bake_chain_accounting(rng):
-    from scrapbook.backends import RenderConfig, report
+    from scrapbook.backends import report
     img = random_image(rng, max_side=6, opaque=True)
     chain = (fx.invert(), fx.sepia(), fx.grayscale())
     scene = SceneDocument()
@@ -206,12 +206,11 @@ def test_bake_chain_accounting(rng):
     local_px = 2 * img.width * img.height  # invert + grayscale local
     assert cost.work_units == local_px
     # sepia routed: one remote latency on top of the local work
-    assert cost.virtual_ms == (report(local_px, RenderConfig()).virtual_ms
-                               + RenderConfig().remote_latency_ms)
+    assert cost.virtual_ms == report(local_px).virtual_ms + REMOTE_LATENCY_MS
 
 
 def test_resolve_scene_renders_unsupported_chains(rng):
-    from scrapbook.backends import RenderConfig, render_full
+    from scrapbook.backends import render_full
     img = random_image(rng, max_side=16, opaque=True)
     scene = SceneDocument()
     scene.add_photo(PhotoObject(id="p", source="src", source_size=(img.width, img.height),
@@ -223,7 +222,7 @@ def test_resolve_scene_renders_unsupported_chains(rng):
     assert frame == reference
     assert resolved.photos[0].effects == ()
     assert cost.work_units == 0  # sepia went remote
-    assert cost.virtual_ms == RenderConfig().remote_latency_ms
+    assert cost.virtual_ms == REMOTE_LATENCY_MS
 
 
 # --- HTTP transport --------------------------------------------------------------
