@@ -8,6 +8,15 @@ input's alpha: the flips move it with the pixels, `opacity` scales it,
 `border` writes its colour's alpha around it, and every other kind keeps
 it as it is.
 
+The kinds that map colour run in row strips (`image._row_strips`),
+possibly on two threads: strips are disjoint, each pixel gets the same
+float64 expression on the same operands as in a whole-image pass (a
+convolution strip reads one halo row above and below it), and the call
+returns only when every strip is done.  Invert, brightness and contrast
+map each channel value on its own, so they run their expression once on
+the 256 values and look the quantized table up, which gives the same
+bytes.
+
 Each kind is one row of `_KINDS`: its apply function, its parameter schema
 (a check per name plus the JSON form where it differs), its growth per
 side, its alpha map and whether it can lower alpha.  Validation, JSON,
@@ -25,7 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .geometry import Rect, is_finite_number, is_int
-from .image import RasterImage
+from .image import RasterImage, _row_strips
 
 
 class EffectKind(str, Enum):
@@ -226,29 +235,52 @@ def _hsl_to_rgb(h: np.ndarray, s: np.ndarray, light: np.ndarray) -> np.ndarray:
 def convolve3x3(image: RasterImage, kernel: Kernel3x3) -> RasterImage:
     """Convolve RGB channels with clamp-to-edge borders; alpha is copied."""
     src = image.array
-    rgb = src[:, :, :3].astype(np.float64)
-    padded = np.pad(rgb, ((1, 1), (1, 1), (0, 0)), mode="edge")
     h, w = image.height, image.width
-    acc = np.zeros_like(rgb)
-    for idx, weight in enumerate(kernel.weights):
-        if weight == 0:
-            continue
-        dy, dx = divmod(idx, 3)
-        acc += weight * padded[dy:dy + h, dx:dx + w]
+    taps = [(divmod(idx, 3), weight) for idx, weight in enumerate(kernel.weights) if weight != 0]
     out = np.empty_like(src)
-    out[:, :, :3] = _quantize(acc / kernel.divisor + kernel.bias)
-    out[:, :, 3] = src[:, :, 3]
+
+    def strip(r0: int, r1: int) -> None:
+        rows = np.clip(np.arange(r0 - 1, r1 + 1), 0, h - 1)
+        padded = np.pad(src[rows, :, :3].astype(np.float64), ((0, 0), (1, 1), (0, 0)), mode="edge")
+        acc = np.zeros((r1 - r0, w, 3))
+        for (dy, dx), weight in taps:
+            acc += weight * padded[dy:dy + r1 - r0, dx:dx + w]
+        out[r0:r1, :, :3] = _quantize(acc / kernel.divisor + kernel.bias)
+        out[r0:r1, :, 3] = src[r0:r1, :, 3]
+
+    _row_strips(h, w, strip)
     return RasterImage.from_array(out)
 
 
 def _rgb(fn):
     """Row adapter for kinds that map the float RGB planes: fn(rgb, params)
-    is quantized and alpha is kept."""
+    is quantized and alpha is kept, one row strip at a time."""
     def apply(image: RasterImage, params: dict) -> RasterImage:
         src = image.array
-        rgb = src[:, :, :3].astype(np.float64)
         out = np.empty_like(src)
-        out[:, :, :3] = _quantize(fn(rgb, params))
+
+        def strip(r0: int, r1: int) -> None:
+            out[r0:r1, :, :3] = _quantize(fn(src[r0:r1, :, :3].astype(np.float64), params))
+            out[r0:r1, :, 3] = src[r0:r1, :, 3]
+
+        _row_strips(image.height, image.width, strip)
+        return RasterImage.from_array(out)
+    return apply
+
+
+def _lut(fn):
+    """Row adapter for kinds that map each channel value on its own:
+    fn(values, params) runs once on the 256 channel values, and its
+    quantized table is looked up per channel.  That equals quantizing fn
+    on the float RGB planes."""
+    def apply(image: RasterImage, params: dict) -> RasterImage:
+        # A huge contrast factor overflows to +-inf on far channel values;
+        # the quantizer clamps that to 0 or 255, as it would per pixel.
+        with np.errstate(over="ignore"):
+            table = _quantize(fn(np.arange(256.0), params))
+        src = image.array
+        out = np.empty_like(src)
+        out[:, :, :3] = table.take(src[:, :, :3])
         out[:, :, 3] = src[:, :, 3]
         return RasterImage.from_array(out)
     return apply
@@ -325,11 +357,11 @@ class _Kind(NamedTuple):
 
 _KINDS = {
     EffectKind.GRAYSCALE: _Kind(_rgb(_gray)),
-    EffectKind.INVERT: _Kind(_rgb(lambda rgb, p: 255.0 - rgb)),
+    EffectKind.INVERT: _Kind(_lut(lambda v, p: 255.0 - v)),
     EffectKind.SEPIA: _Kind(_rgb(lambda rgb, p: rgb @ _SEPIA.T)),
-    EffectKind.BRIGHTNESS: _Kind(_rgb(lambda rgb, p: rgb + p["delta"]),
+    EffectKind.BRIGHTNESS: _Kind(_lut(lambda v, p: v + p["delta"]),
                                  {"delta": _number(-255, 255)}),
-    EffectKind.CONTRAST: _Kind(_rgb(lambda rgb, p: (rgb - 128.0) * p["factor"] + 128.0),
+    EffectKind.CONTRAST: _Kind(_lut(lambda v, p: (v - 128.0) * p["factor"] + 128.0),
                                {"factor": _number(0)}),
     EffectKind.HUE: _Kind(_rgb(_hue), {"degrees": _number()}),
     EffectKind.SATURATE: _Kind(_rgb(_saturate), {"factor": _number(0)}),

@@ -4,11 +4,39 @@ Images are row-major RGBA8 numpy arrays with straight (non-premultiplied)
 alpha.  P6 is the required interchange format: it is bit-exact, trivial to
 parse and carries no alpha, so saving drops alpha and loading sets it to
 255 everywhere.
+
+Pixel kernels that would touch a large image at once run in row strips of
+about STRIP_PX pixels (`_row_strips`), on up to two threads.  Strips are
+disjoint, each pixel gets the same expression on the same operands as in
+a whole-image pass, and the caller returns only when every strip is done,
+so the result does not depend on the number of workers or on which thread
+ran which strip.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+
+# Pixels per row strip: big enough that numpy's per-call overhead is small,
+# small enough that a strip's float64 temporaries stay a few megabytes.
+STRIP_PX = 2 ** 16
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on (all of them where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# Threads that run the strips of one kernel call: the caller plus
+# _WORKERS - 1 pool threads, shared by every caller.
+_WORKERS = min(2, _cpu_count())
+_POOL = ThreadPoolExecutor(max_workers=max(1, _WORKERS - 1), thread_name_prefix="strips")
 
 
 class PpmError(ValueError):
@@ -98,6 +126,51 @@ class RasterImage:
 
     def __repr__(self) -> str:
         return f"RasterImage({self.width}x{self.height})"
+
+
+def _row_strips(height: int, width: int, work) -> None:
+    """Run work(r0, r1) on row strips of about STRIP_PX pixels that cover
+    rows 0..height of a width-pixel-wide grid.
+
+    A single strip, or a single worker, runs inline in order.  Otherwise
+    the caller and the pool claim strips in order until none is left; a
+    pool task that starts after that finds nothing to do, so the caller
+    never waits for a queued task.  This returns only after every strip
+    has finished, then raises the first strip's error, if any.
+    """
+    rows = max(1, STRIP_PX // max(width, 1))
+    bounds = [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
+    if len(bounds) == 1 or _WORKERS == 1:
+        for r0, r1 in bounds:
+            work(r0, r1)
+        return
+    claims = iter(range(len(bounds)))
+    lock = threading.Lock()
+    finished = threading.Semaphore(0)
+    errors = [None] * len(bounds)
+
+    def run() -> None:
+        while True:
+            with lock:
+                i = next(claims, None)
+            if i is None:
+                return
+            try:
+                work(*bounds[i])
+            except BaseException as exc:  # raised by the caller once every strip is done
+                errors[i] = exc
+            finished.release()
+
+    # run() keeps every strip's error itself, so the futures hold nothing
+    # to read, and waiting on them would wait for tasks still queued.
+    for _ in range(min(_WORKERS, len(bounds)) - 1):
+        _POOL.submit(run)
+    run()
+    for _ in bounds:
+        finished.acquire()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _read_header_token(buf: bytes, pos: int) -> tuple[bytes, int]:

@@ -41,8 +41,18 @@ pixel with a texel of alpha 255, and nothing drawn before it there shows.
 
 The frame is an opaque RasterImage, so texels and frame pixels share one
 layout: both are read and written through packed uint32 views, one 4-byte
-element per pixel.  Nothing is cached between calls: the rasterizer is
-reentrant.
+element per pixel.
+
+A draw whose clipped box holds at least PARALLEL_DRAW_PX pixels runs in
+row strips of it (`image._row_strips`), each one the clipped kernel above
+on its own rows, possibly on another thread; a smaller one is one pass.
+Strips are disjoint, each pixel gets the same expressions as in one pass,
+and draw_photo returns only when every strip is done.  A strip whose
+texels all have alpha 255 takes the exact copy while its neighbours blend,
+and that too is exact: blending at alpha 255 gives floor(t * 1.0 +
+d * 0.0 + 0.5) = t, the texel.  Nothing is cached between calls and
+nothing is shared but the frame's disjoint rows, so draws into different
+frames may run at once from any threads.
 """
 
 from __future__ import annotations
@@ -53,9 +63,18 @@ import numpy as np
 
 from .effects import apply_chain, chain_output_size, lowers_alpha
 from .geometry import Rect, outward_bbox
-from .image import RasterImage
+from .image import RasterImage, _row_strips
 from .photo import EmptyCropError, PhotoObject, display_size, source_rect
 from .viewport import ScreenSpec, to_screen
+
+# Draws smaller than this run in one pass on the calling thread, as they did
+# before strips.  Such a draw takes a few milliseconds, about what a pool
+# thread that wakes late or loses its CPU mid-strip holds the caller up by,
+# so on two threads a frame built of such draws (a drag's damage boxes are
+# up to 0.75 Mpx) followed the other CPU's load.  In strips on the caller
+# alone it was faster on average, but its speed swung from run to run with
+# the host, where the one-pass kernel's did not.
+PARALLEL_DRAW_PX = 2 ** 20
 
 # Packed texels whose alpha byte is 255; the mask is built from bytes so it
 # holds on either byte order.
@@ -198,15 +217,26 @@ def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
 
     Pixels outside the rotated footprint, and outside `clip` when one is
     given, are untouched; a pixel inside both is written exactly as by an
-    unclipped draw.
+    unclipped draw.  The clipped box is drawn in one pass on the calling
+    thread when it is smaller than PARALLEL_DRAW_PX, else in row strips.
     """
     cx, cy, sw, sh, bbox = footprint(photo, screen)
     frame_rect = Rect(0, 0, frame.width, frame.height)
     clip = bbox.intersect(frame_rect if clip is None else clip.intersect(frame_rect))
     if clip.is_empty():
         return
-
     cos_t, sin_t = _rotation(photo)
+    if clip.w * clip.h < PARALLEL_DRAW_PX:
+        _draw_clipped(frame, content, clip, cx, cy, sw, sh, cos_t, sin_t)
+        return
+    _row_strips(clip.h, clip.w, lambda r0, r1: _draw_clipped(
+        frame, content, Rect(clip.x, clip.y + r0, clip.w, r1 - r0), cx, cy, sw, sh, cos_t, sin_t))
+
+
+def _draw_clipped(frame: Frame, content: RasterImage, clip: Rect, cx: float, cy: float,
+                  sw: float, sh: float, cos_t: float, sin_t: float) -> None:
+    """draw_photo's kernel on one non-empty clip inside the frame and the
+    photo's box, given the photo's footprint and rotation."""
     cw, ch = content.width, content.height
     texels = content.packed
     pixels = frame.packed
