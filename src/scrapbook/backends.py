@@ -3,9 +3,9 @@
 Three strategies exist.  `raster` is immediate-mode: any change wipes the
 whole surface and redraws everything, re-applying every photo's effect
 chain.  `scenegraph` and `legacy` are retained-mode: photos persist as
-nodes, only damaged regions recomposite, and effects stick to the node
-after being baked once.  `legacy` differs from `scenegraph` only through
-its smaller capability table.
+nodes, only damaged regions recomposite, and a node's chain is charged
+once.  `legacy` differs from `scenegraph` only through its smaller
+capability table.
 
 Every frame, whether a full render, a session's static layer or its end
 composite, comes from one paint pass that prepares and draws a photo
@@ -30,9 +30,9 @@ Virtual time is work_units / throughput, in pixels per virtual ms
 
 One redraw rule sets the charges: a redraw of a photo list costs the
 clear (raster only, the whole screen) plus each photo's bbox + fx, where fx
-is its effect-chain pixel count.  Raster redraws; retained nodes keep baked
-pixels and recomposite only damaged boxes.  Only a drag frame has its own
-formula.  Per operation and strategy:
+is its effect-chain pixel count (0 if the failover charges the chain).
+Raster redraws; retained nodes recomposite only damaged boxes.  Only a
+drag frame has its own formula.  Per operation and strategy:
 
     operation     raster                          scenegraph / legacy
     full render   redraw of all photos            redraw of all photos
@@ -139,11 +139,17 @@ def draw_units(photo: PhotoObject, screen: ScreenSpec, center=None) -> int:
     return screen_bbox(photo, screen, center).area
 
 
+def runs_chain(backend: BackendKind, photo: PhotoObject) -> bool:
+    """Whether the backend runs every step of the photo's chain itself."""
+    return all(spec.kind in CAPABILITIES[backend] for spec in photo.effects)
+
+
 def redraw_units(backend: BackendKind, photos, screen: ScreenSpec) -> int:
     """The one redraw rule: the clear (raster only) plus each photo's box
-    and effect-chain pixels."""
+    and the pixels of each chain the backend runs itself."""
     units = 0 if backend.retained else screen.width * screen.height
-    return units + sum(draw_units(p, screen) + effect_pixels(p) for p in photos)
+    units += sum(effect_pixels(p) for p in photos if runs_chain(backend, p))
+    return units + sum(draw_units(p, screen) for p in photos)
 
 
 def update_units(backend: BackendKind, photo: PhotoObject, screen: ScreenSpec,
@@ -179,15 +185,14 @@ def attr_change_units(backend: BackendKind, scene: SceneDocument, screen: Screen
 # --- pixel-producing entry points ---
 
 SourceResolver = Callable[[str], RasterImage]
+PrepareStep = Callable[[PhotoObject, RasterImage], RasterImage]
 
 
 def _check_chains(backend: BackendKind, scene: SceneDocument) -> None:
-    for photo in scene.photos:
-        bad = [s.kind.value for s in photo.effects if s.kind not in CAPABILITIES[backend]]
-        if bad:
-            raise UnsupportedEffectError(
-                f"photo {photo.id!r}: {bad} not supported by {backend.value}; "
-                f"route through the failover service first")
+    bad = [photo.id for photo in scene.photos if not runs_chain(backend, photo)]
+    if bad:
+        raise UnsupportedEffectError(f"photos {bad}: chains not supported by {backend.value}; "
+                                     f"render with service.resolve_scene's prepare step")
 
 
 # Edge in pixels of the square tiles the paint pass tracks occlusion on.
@@ -223,10 +228,12 @@ def _visible(placed, area: Rect, screen: ScreenSpec):
 
 
 def _paint(photos, sources: SourceResolver, screen: ScreenSpec,
-           frame: Frame | None = None, damage: Rect | None = None) -> Frame:
+           frame: Frame | None = None, damage: Rect | None = None,
+           prepare: PrepareStep | None = None) -> Frame:
     """The one paint pass: the photos drawn back-to-front into `frame` (a
     fresh one by default) over the whole screen, or only inside `damage`,
-    which is cleared to white first.
+    which is cleared to white first.  Each drawn photo's texture comes from
+    `prepare`, by default prepare_content as named at call time.
 
     Only what can be seen is drawn: a photo hidden under opaque photos in
     the painted area is neither prepared nor drawn, and each drawn photo is
@@ -245,17 +252,20 @@ def _paint(photos, sources: SourceResolver, screen: ScreenSpec,
     if damage is not None:
         area = area.intersect(damage)
         frame.array[area.y:area.y2, area.x:area.x2] = 255
+    prepare = prepare or prepare_content
     for photo, source, clip in _visible(placed, area, screen):
-        draw_photo(frame, photo, prepare_content(photo, source), screen, clip)
+        draw_photo(frame, photo, prepare(photo, source), screen, clip)
     return frame
 
 
 def render_full(backend: BackendKind, scene: SceneDocument, sources: SourceResolver,
-                screen: ScreenSpec, throughput: float = DEFAULT_THROUGHPUT
-                ) -> tuple[Frame, CostReport]:
-    """Composite the scene back-to-front into a fresh frame."""
-    _check_chains(backend, scene)
-    return (_paint(scene.photos, sources, screen),
+                screen: ScreenSpec, throughput: float = DEFAULT_THROUGHPUT,
+                prepare: PrepareStep | None = None) -> tuple[Frame, CostReport]:
+    """Composite the scene back-to-front into a fresh frame.  Without a
+    `prepare` step (`service.resolve_scene`), every chain must be one the backend runs."""
+    if prepare is None:
+        _check_chains(backend, scene)
+    return (_paint(scene.photos, sources, screen, prepare=prepare),
             report(redraw_units(backend, scene.photos, screen), throughput))
 
 

@@ -108,9 +108,8 @@ def _cmd_render(args) -> int:
                     for p in scene.photos]
     screen = ScreenSpec.fit(*args.screen)
     client = HttpClient(args.service) if args.service else LocalClient()
-    scene, sources, failover_cost = resolve_scene(args.backend, scene, sources,
-                                                  client, args.throughput)
-    frame, cost = render_full(args.backend, scene, sources, screen, args.throughput)
+    prepare, failover_cost = resolve_scene(args.backend, scene, client, args.throughput)
+    frame, cost = render_full(args.backend, scene, sources, screen, args.throughput, prepare)
     cost = cost + failover_cost
     save_ppm(frame, args.out)
     if args.cost:

@@ -57,12 +57,20 @@ class PhotoObject:
 
 
 def source_rect(photo: PhotoObject) -> Rect:
-    """Region of the source the photo shows: crop, or the full source."""
-    if photo.crop is not None:
-        return photo.crop
+    """Region of the source the photo shows: the full source, or the crop
+    clamped into it as crop_photo clamps (the crop as written while the
+    source size is unknown).  EmptyCropError when nothing is left."""
     if photo.source_size is None:
-        raise UnresolvedSourceError(f"photo {photo.id!r}: source size unknown and no crop set")
-    return Rect(0, 0, photo.source_size[0], photo.source_size[1])
+        if photo.crop is None:
+            raise UnresolvedSourceError(
+                f"photo {photo.id!r}: source size unknown and no crop set")
+        return photo.crop
+    bounds = Rect(0, 0, *photo.source_size)
+    rect = bounds if photo.crop is None else photo.crop.intersect(bounds)
+    if rect.is_empty():
+        raise EmptyCropError(f"photo {photo.id!r}: crop {photo.crop} lies outside "
+                             f"source {bounds.w}x{bounds.h}")
+    return rect
 
 
 def content_size(photo: PhotoObject) -> tuple[int, int]:
@@ -71,8 +79,9 @@ def content_size(photo: PhotoObject) -> tuple[int, int]:
     return chain_output_size(rect.w, rect.h, photo.effects)
 
 
-# Bound on a photo's sides in pixels, before and after scaling: far above
-# any screen, and low enough that box areas and costs stay finite floats.
+# Bound on a photo's sides in pixels, before and after scaling, and on the
+# sides of a crop in a scene document: far above any screen, and low enough
+# that box areas and costs stay finite floats.
 MAX_DISPLAY_SIDE = 2 ** 24
 
 
@@ -103,11 +112,7 @@ def crop_photo(photo: PhotoObject, rect: Rect) -> PhotoObject:
         raise PhotoError(f"crop must have positive size, got {rect.w}x{rect.h}")
     if photo.source_size is None:
         raise UnresolvedSourceError(f"photo {photo.id!r}: cannot crop with unknown source size")
-    bounds = Rect(0, 0, photo.source_size[0], photo.source_size[1])
-    clamped = rect.intersect(bounds)
-    if clamped.is_empty():
-        raise EmptyCropError(f"crop {rect} lies outside source {bounds.w}x{bounds.h}")
-    return replace(photo, crop=clamped)
+    return replace(photo, crop=source_rect(replace(photo, crop=rect)))
 
 
 def move_to(photo: PhotoObject, x: float, y: float) -> PhotoObject:

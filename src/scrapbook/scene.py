@@ -20,7 +20,7 @@ import json
 
 from .effects import EffectParamError, EffectSpec
 from .geometry import Rect, is_finite_number, is_int
-from .photo import PhotoObject
+from .photo import MAX_DISPLAY_SIDE, PhotoObject
 from .viewport import STANDARD_VIEWPORT
 from .zorder import ZOrderArray
 
@@ -143,10 +143,10 @@ def _parse_photo(entry) -> tuple[int, PhotoObject]:
     crop = entry["crop"]
     if crop is not None:
         if (not isinstance(crop, list) or len(crop) != 4 or not all(map(is_int, crop))
-                or crop[2] <= 0 or crop[3] <= 0):
+                or not (0 < crop[2] < MAX_DISPLAY_SIDE and 0 < crop[3] < MAX_DISPLAY_SIDE)):
             raise SceneFormatError(
-                f"photo {pid!r}: crop must be [x, y, w, h] ints with w, h > 0, or null, "
-                f"got {crop!r}")
+                f"photo {pid!r}: crop must be [x, y, w, h] ints with 0 < w, h < "
+                f"{MAX_DISPLAY_SIDE}, or null, got {crop!r}")
         crop = Rect(*crop)
     center = entry["center"]
     if not isinstance(center, list) or len(center) != 2 or not all(map(is_finite_number, center)):

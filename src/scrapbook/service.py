@@ -1,9 +1,9 @@
 """Single-endpoint processing service and capability failover routing.
 
 When a backend lacks an effect, the effect runs "server-side" through one
-JSON switch and the baked pixels are substituted, so every feature works
-on every backend.  The same envelope is spoken in-process (LocalClient)
-and over HTTP POST /api (HttpClient against serve()).
+JSON switch in place of the local step, as each photo is drawn, so every
+feature works on every backend.  The same envelope is spoken in-process
+(LocalClient) and over HTTP POST /api (HttpClient against serve()).
 
 Request envelope:   {"op": str, "args": object, "image": str}
     `image` is a base64 binary-PPM payload, or "store:<key>" to reference
@@ -41,9 +41,9 @@ from pathlib import Path
 from . import effects as fx
 from . import raster
 from .backends import (CAPABILITIES, DEFAULT_THROUGHPUT, BackendKind, Capability,
-                       CostReport, capability_check, report)
+                       CostReport, PrepareStep, capability_check, report, runs_chain)
 from .image import PpmError, RasterImage, decode_ppm, encode_ppm, load_ppm
-from .scene import SceneDocument
+from .photo import PhotoObject, source_rect
 
 ERR_UNKNOWN_OP = 4001
 ERR_MALFORMED_ARGS = 4002
@@ -225,45 +225,35 @@ def route_effect(backend: BackendKind, image: RasterImage, spec: fx.EffectSpec,
     return result
 
 
-def resolve_scene(backend: BackendKind, scene, sources, client=None,
-                  throughput: float = DEFAULT_THROUGHPUT):
-    """Bake every chain the backend cannot run, before rendering.
-
-    Photos whose chains are fully supported pass through untouched; the
-    rest are replaced by effect-free photos over baked pixel sources.
-    Each chain is baked through the router one step at a time.  Returns
-    (scene, resolver, cost): a local step costs its output area as work,
-    a routed step one remote latency.
+def resolve_scene(backend: BackendKind, scene, client=None,
+                  throughput: float = DEFAULT_THROUGHPUT) -> tuple[PrepareStep, CostReport]:
+    """The failover of a render: (prepare, cost).  `prepare` is the step
+    render_full takes; it crops a photo whose chain the backend cannot run
+    and routes each step, so only drawn photos reach the service.  `cost`
+    charges every such chain, drawn or not: a local step its output area
+    as work, a routed step one remote latency.
     """
-    baked: dict[str, RasterImage] = {}
-    photos = []
     local_pixels = 0
     remote_calls = 0
     for photo in scene.photos:
-        if all(spec.kind in CAPABILITIES[backend] for spec in photo.effects):
-            photos.append(photo)
-            continue
-        result = raster.prepare_content(replace(photo, effects=()), sources(photo.source))
+        rect = source_rect(photo)
+        local = [w * h for spec, (w, h) in zip(photo.effects, fx._chain_sizes(
+            rect.w, rect.h, photo.effects)) if spec.kind in CAPABILITIES[backend]]
+        if len(local) < len(photo.effects):
+            local_pixels += sum(local)
+            remote_calls += len(photo.effects) - len(local)
+
+    def prepare(photo: PhotoObject, source: RasterImage) -> RasterImage:
+        if runs_chain(backend, photo):
+            return raster.prepare_content(photo, source)
+        result = raster.prepare_content(replace(photo, effects=()), source)
         for spec in photo.effects:
             result = route_effect(backend, result, spec, client)
-            if capability_check(backend, spec.kind) is Capability.SUPPORTED:
-                local_pixels += result.width * result.height
-            else:
-                remote_calls += 1
-        key = f"baked:{photo.id}"
-        baked[key] = result
-        photos.append(replace(photo, source=key, crop=None,
-                              source_size=(result.width, result.height), effects=()))
-
-    resolved = SceneDocument(z_base=scene.z_base)
-    resolved.photos = photos
-
-    def resolver(key: str) -> RasterImage:
-        return baked[key] if key in baked else sources(key)
+        return result
 
     cost = (report(local_pixels, throughput, frames=0)
             + CostReport(0, remote_calls * REMOTE_LATENCY_MS))
-    return resolved, resolver, cost
+    return prepare, cost
 
 
 class _ApiHandler(BaseHTTPRequestHandler):

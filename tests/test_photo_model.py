@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -8,7 +9,7 @@ from scrapbook.geometry import Rect, rotated_extents, round_half_up
 from scrapbook.photo import (EmptyCropError, PhotoError, PhotoObject,
                              UnresolvedSourceError, crop_photo, display_size,
                              effect_pixels, move_to, photo_bbox, rotate_by,
-                             scale_to)
+                             scale_to, source_rect)
 
 
 def make_photo(w=576, h=384, **kw):
@@ -194,3 +195,14 @@ def test_effect_pixels_counts_chain():
     assert effect_pixels(photo) == 2 * 100 * 80
     cropped = crop_photo(photo, Rect(0, 0, 50, 40))
     assert effect_pixels(cropped) == 2 * 50 * 40
+
+
+def test_overhanging_crop_is_clamped_for_size_and_charge():
+    """Size, charge and pixels all follow the crop clamped into the source,
+    as crop_photo clamps it."""
+    photo = make_photo(8, 6, crop=Rect(0, 0, 40, 30), scale=4.0, effects=(fx.sepia(),))
+    assert source_rect(photo) == crop_photo(photo, Rect(0, 0, 40, 30)).crop == Rect(0, 0, 8, 6)
+    assert display_size(photo) == (32, 24)
+    assert effect_pixels(photo) == 8 * 6
+    with pytest.raises(EmptyCropError):
+        source_rect(replace(photo, crop=Rect(8, 0, 4, 4)))

@@ -118,6 +118,7 @@ def test_unknown_fields_rejected():
     lambda d: d["photos"][0].update(id=7),
     lambda d: d["photos"][0].update(source=7),
     lambda d: d["photos"][0].update(crop=[0, 0, 0, 5]),
+    lambda d: d["photos"][0].update(crop=[0, 0, 2 ** 24, 5]),
 ])
 def test_malformed_documents_rejected(mutate):
     doc = json.loads(scene_save(sample_scene()))

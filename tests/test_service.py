@@ -5,14 +5,16 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrapbook import effects as fx
 from scrapbook import service
-from scrapbook.backends import CAPABILITIES, BackendKind
+from scrapbook.backends import CAPABILITIES, BackendKind, CostReport
 from scrapbook.effects import EffectKind, apply_effect
 from scrapbook.geometry import Rect
 from scrapbook.image import RasterImage
-from scrapbook.photo import PhotoObject
+from scrapbook.photo import PhotoObject, move_to
 from scrapbook.scene import SceneDocument
 from scrapbook.service import (ERR_BAD_IMAGE, ERR_INTERNAL,
                                ERR_MALFORMED_ARGS, ERR_UNKNOWN_EFFECT,
@@ -194,15 +196,15 @@ def test_route_error_surfaces_as_failover_error():
         route_effect(BackendKind.LEGACY, tiny_image(), fx.sepia(), BrokenClient())
 
 
-def test_bake_chain_accounting(rng):
+def test_failover_chain_accounting(rng):
     from scrapbook.backends import report
     img = random_image(rng, max_side=6, opaque=True)
     chain = (fx.invert(), fx.sepia(), fx.grayscale())
     scene = SceneDocument()
-    scene.add_photo(PhotoObject(id="p", source="src", source_size=(img.width, img.height),
-                                effects=chain))
-    resolved, resolver, cost = resolve_scene(BackendKind.LEGACY, scene, lambda k: img)
-    assert resolver(resolved.photos[0].source) == fx.apply_chain(img, chain)
+    photo = scene.add_photo(PhotoObject(id="p", source="src",
+                                        source_size=(img.width, img.height), effects=chain))
+    prepare, cost = resolve_scene(BackendKind.LEGACY, scene)
+    assert prepare(photo, img) == fx.apply_chain(img, chain)
     local_px = 2 * img.width * img.height  # invert + grayscale local
     assert cost.work_units == local_px
     # sepia routed: one remote latency on top of the local work
@@ -217,12 +219,94 @@ def test_resolve_scene_renders_unsupported_chains(rng):
                                 center=(40.0, 30.0), effects=(fx.sepia(),)))
     screen = ScreenSpec.identity(80, 60)
     reference, _ = render_full(BackendKind.RASTER, scene, lambda k: img, screen)
-    resolved, resolver, cost = resolve_scene(BackendKind.LEGACY, scene, lambda k: img)
-    frame, _ = render_full(BackendKind.LEGACY, resolved, resolver, screen)
+    prepare, cost = resolve_scene(BackendKind.LEGACY, scene)
+    frame, _ = render_full(BackendKind.LEGACY, scene, lambda k: img, screen, prepare=prepare)
     assert frame == reference
-    assert resolved.photos[0].effects == ()
     assert cost.work_units == 0  # sepia went remote
     assert cost.virtual_ms == REMOTE_LATENCY_MS
+
+
+class CountingClient(LocalClient):
+    """A LocalClient that records the effect kind of each request."""
+
+    def __init__(self):
+        super().__init__()
+        self.kinds = []
+
+    def call(self, envelope):
+        self.kinds.append(envelope["args"]["effect"]["kind"])
+        return super().call(envelope)
+
+
+def test_culled_photo_is_charged_but_never_routed():
+    from scrapbook.backends import render_full, report
+    sources = {"small": RasterImage.filled(10, 10, (200, 30, 30, 255)),
+               "large": RasterImage.filled(60, 60, (10, 90, 200, 255))}
+    scene = SceneDocument()
+    scene.add_photo(PhotoObject(id="under", source="small", source_size=(10, 10),
+                                center=(50.0, 50.0), effects=(fx.invert(), fx.sepia())))
+    scene.add_photo(PhotoObject(id="top", source="large", source_size=(60, 60),
+                                center=(50.0, 50.0)))
+    client = CountingClient()
+    prepare, cost = resolve_scene(BackendKind.LEGACY, scene, client)
+    frame, _ = render_full(BackendKind.LEGACY, scene, sources.__getitem__,
+                           ScreenSpec.identity(100, 100), prepare=prepare)
+    assert client.kinds == []
+    assert frame.array[50, 50].tolist() == [10, 90, 200, 255]
+    # The hidden photo's invert is charged as local work, its sepia as a routed call.
+    assert cost == report(100, frames=0) + CostReport(0, REMOTE_LATENCY_MS)
+
+    scene.replace_photo(move_to(scene.photo("under"), 10.0, 10.0))
+    render_full(BackendKind.LEGACY, scene, sources.__getitem__,
+                ScreenSpec.identity(100, 100), prepare=prepare)
+    assert client.kinds == ["sepia"]
+
+
+# Kinds scenegraph (emboss, redeye, flips) or legacy (sepia, hue, sharpen,
+# redeye) lack, with kinds every backend runs and with border growth.
+FAILOVER_EFFECTS = [fx.sepia(), fx.hue(120), fx.sharpen(), fx.emboss(), fx.flip_h(),
+                    fx.flip_v(), fx.redeye(Rect(1, 1, 6, 5)), fx.invert(), fx.opacity(0.5),
+                    fx.border(2, (9, 200, 30, 255))]
+
+
+@st.composite
+def failover_scenes(draw):
+    """Small scenes whose crops may overhang their sources and whose chains
+    use kinds some backend lacks."""
+    screen = ScreenSpec.identity(draw(st.integers(1, 60)), draw(st.integers(1, 50)))
+    nprng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sources, scene = {}, SceneDocument()
+    for i in range(draw(st.integers(1, 4))):
+        w, h = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        arr = nprng.integers(0, 256, (h, w, 4), dtype=np.uint8)
+        if draw(st.booleans()):
+            arr[:, :, 3] = 255
+        sources[f"s{i}"] = RasterImage.from_array(arr)
+        crop = None
+        if draw(st.booleans()):
+            crop = Rect(draw(st.integers(0, w - 1)), draw(st.integers(0, h - 1)),
+                        draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+        scene.add_photo(PhotoObject(
+            id=f"p{i}", source=f"s{i}", source_size=(w, h), crop=crop,
+            scale=draw(st.sampled_from([0.5, 1.0, 2.5, 4.0])),
+            angle=draw(st.sampled_from([0.0, 30.0, -90.0])),
+            center=(float(draw(st.integers(-10, 70))), float(draw(st.integers(-10, 60)))),
+            effects=tuple(draw(st.lists(st.sampled_from(FAILOVER_EFFECTS), max_size=2)))))
+    return scene, sources, screen
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(failover_scenes())
+def test_every_backend_renders_the_same_frame_through_failover(case):
+    from scrapbook.backends import render_full
+    scene, sources, screen = case
+    frames = {}
+    for backend in BackendKind:
+        prepare, _ = resolve_scene(backend, scene, LocalClient())
+        frames[backend], _ = render_full(backend, scene, sources.__getitem__, screen,
+                                         prepare=prepare)
+    assert frames[BackendKind.SCENEGRAPH] == frames[BackendKind.RASTER]
+    assert frames[BackendKind.LEGACY] == frames[BackendKind.RASTER]
 
 
 # --- HTTP transport --------------------------------------------------------------
