@@ -30,9 +30,10 @@ Virtual time is work_units / throughput, in pixels per virtual ms
 
 One redraw rule sets the charges: a redraw of a photo list costs the
 clear (raster only, the whole screen) plus each photo's bbox + fx, where fx
-is its effect-chain pixel count (0 if the failover charges the chain).
-Raster redraws; retained nodes recomposite only damaged boxes.  Only a
-drag frame has its own formula.  Per operation and strategy:
+is its effect-chain pixel count.  A full render leaves out the fx of a
+chain the backend cannot run (see runs_chain).  Raster redraws; retained
+nodes recomposite only damaged boxes.  Only a drag frame has its own
+formula.  Per operation and strategy:
 
     operation     raster                          scenegraph / legacy
     full render   redraw of all photos            redraw of all photos
@@ -140,16 +141,15 @@ def draw_units(photo: PhotoObject, screen: ScreenSpec, center=None) -> int:
 
 
 def runs_chain(backend: BackendKind, photo: PhotoObject) -> bool:
-    """Whether the backend runs every step of the photo's chain itself."""
+    """Whether the backend runs the photo's whole chain; if not, resolve_scene charges it."""
     return all(spec.kind in CAPABILITIES[backend] for spec in photo.effects)
 
 
 def redraw_units(backend: BackendKind, photos, screen: ScreenSpec) -> int:
     """The one redraw rule: the clear (raster only) plus each photo's box
-    and the pixels of each chain the backend runs itself."""
+    and effect-chain pixels."""
     units = 0 if backend.retained else screen.width * screen.height
-    units += sum(effect_pixels(p) for p in photos if runs_chain(backend, p))
-    return units + sum(draw_units(p, screen) for p in photos)
+    return units + sum(draw_units(p, screen) + effect_pixels(p) for p in photos)
 
 
 def update_units(backend: BackendKind, photo: PhotoObject, screen: ScreenSpec,
@@ -261,12 +261,12 @@ def _paint(photos, sources: SourceResolver, screen: ScreenSpec,
 def render_full(backend: BackendKind, scene: SceneDocument, sources: SourceResolver,
                 screen: ScreenSpec, throughput: float = DEFAULT_THROUGHPUT,
                 prepare: PrepareStep | None = None) -> tuple[Frame, CostReport]:
-    """Composite the scene back-to-front into a fresh frame.  Without a
-    `prepare` step (`service.resolve_scene`), every chain must be one the backend runs."""
+    """Composite the scene into a fresh frame; without `prepare`, the backend runs every chain."""
     if prepare is None:
         _check_chains(backend, scene)
+    routed_fx = sum(effect_pixels(p) for p in scene.photos if not runs_chain(backend, p))
     return (_paint(scene.photos, sources, screen, prepare=prepare),
-            report(redraw_units(backend, scene.photos, screen), throughput))
+            report(redraw_units(backend, scene.photos, screen) - routed_fx, throughput))
 
 
 class InteractionSession:

@@ -417,7 +417,7 @@ def apply_chain(image: RasterImage, effects) -> RasterImage:
     return out
 
 
-def _chain_sizes(width: int, height: int, effects):
+def chain_sizes(width: int, height: int, effects):
     """Image dimensions after each effect of a chain; growth past
     MAX_IMAGE_PIXELS is refused."""
     for spec in effects:
@@ -435,9 +435,9 @@ def chain_pixels(width: int, height: int, effects) -> int:
     Each effect writes its full output area; border grows the running
     dimensions for itself and for every later effect.
     """
-    return sum(w * h for w, h in _chain_sizes(width, height, effects))
+    return sum(w * h for w, h in chain_sizes(width, height, effects))
 
 
 def chain_output_size(width: int, height: int, effects) -> tuple[int, int]:
     """Image dimensions after a chain runs (only border changes them)."""
-    return [(width, height), *_chain_sizes(width, height, effects)][-1]
+    return [(width, height), *chain_sizes(width, height, effects)][-1]

@@ -40,7 +40,7 @@ from pathlib import Path
 
 from . import effects as fx
 from . import raster
-from .backends import (CAPABILITIES, DEFAULT_THROUGHPUT, BackendKind, Capability,
+from .backends import (DEFAULT_THROUGHPUT, BackendKind, Capability,
                        CostReport, PrepareStep, capability_check, report, runs_chain)
 from .image import PpmError, RasterImage, decode_ppm, encode_ppm, load_ppm
 from .photo import PhotoObject, source_rect
@@ -228,24 +228,24 @@ def route_effect(backend: BackendKind, image: RasterImage, spec: fx.EffectSpec,
 def resolve_scene(backend: BackendKind, scene, client=None,
                   throughput: float = DEFAULT_THROUGHPUT) -> tuple[PrepareStep, CostReport]:
     """The failover of a render: (prepare, cost).  `prepare` is the step
-    render_full takes; it crops a photo whose chain the backend cannot run
-    and routes each step, so only drawn photos reach the service.  `cost`
-    charges every such chain, drawn or not: a local step its output area
-    as work, a routed step one remote latency.
+    render_full takes; it crops a photo and runs its chain one step at a
+    time through route_effect, so only drawn photos reach the service.
+    `cost` charges every chain the backend cannot run, drawn or not: a
+    local step its output area as work, a routed step one remote latency.
     """
     local_pixels = 0
     remote_calls = 0
     for photo in scene.photos:
+        if runs_chain(backend, photo):
+            continue
         rect = source_rect(photo)
-        local = [w * h for spec, (w, h) in zip(photo.effects, fx._chain_sizes(
-            rect.w, rect.h, photo.effects)) if spec.kind in CAPABILITIES[backend]]
-        if len(local) < len(photo.effects):
-            local_pixels += sum(local)
-            remote_calls += len(photo.effects) - len(local)
+        for spec, (w, h) in zip(photo.effects, fx.chain_sizes(rect.w, rect.h, photo.effects)):
+            if capability_check(backend, spec.kind) is Capability.SUPPORTED:
+                local_pixels += w * h
+            else:
+                remote_calls += 1
 
     def prepare(photo: PhotoObject, source: RasterImage) -> RasterImage:
-        if runs_chain(backend, photo):
-            return raster.prepare_content(photo, source)
         result = raster.prepare_content(replace(photo, effects=()), source)
         for spec in photo.effects:
             result = route_effect(backend, result, spec, client)
