@@ -128,9 +128,15 @@ class RasterImage:
         return f"RasterImage({self.width}x{self.height})"
 
 
+def _strip_rows(width: int) -> int:
+    """Rows in one strip of a width-pixel-wide grid: about STRIP_PX pixels,
+    and at least one row."""
+    return max(1, STRIP_PX // max(width, 1))
+
+
 def _row_strips(height: int, width: int, work) -> None:
-    """Run work(r0, r1) on row strips of about STRIP_PX pixels that cover
-    rows 0..height of a width-pixel-wide grid.
+    """Run work(r0, r1) on row strips of `_strip_rows(width)` rows that
+    cover rows 0..height of a width-pixel-wide grid.
 
     A single strip, or a single worker, runs inline in order.  Otherwise
     the caller and the pool claim strips in order until none is left; a
@@ -138,7 +144,7 @@ def _row_strips(height: int, width: int, work) -> None:
     never waits for a queued task.  This returns only after every strip
     has finished, then raises the first strip's error, if any.
     """
-    rows = max(1, STRIP_PX // max(width, 1))
+    rows = _strip_rows(width)
     bounds = [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
     if len(bounds) == 1 or _WORKERS == 1:
         for r0, r1 in bounds:

@@ -10,21 +10,31 @@ the inverse transform.  Compositing is source-over against the opaque
 frame with round-half-up channel math.
 
 The kernel's cost follows the pixels it writes.  An axis-aligned draw
-separates into one row lookup and one column lookup.  A rotated draw walks
-the clipped bounding box row by row: the rectangle's four edge functions
-(Pineda, SIGGRAPH 1988) give each row a conservative span of columns,
-widened past float64 rounding, and only span pixels are evaluated.  On
-those pixels the kernel computes the same float64 expressions on the same
-operands in the same order as a full per-pixel grid would:
+separates into one row lookup and one column lookup, made once per draw.
+A rotated draw walks the clipped bounding box in bands of rows, each of
+about image.STRIP_PX pixels (`image._strip_rows`).  The rectangle's four
+edge functions (Pineda, SIGGRAPH 1988) give each row a conservative span
+of columns, widened past float64 rounding, and a band evaluates every
+pixel of the union of its rows' spans densely, so its temporaries stay in
+cache.  On those pixels the kernel computes the same float64 expressions
+on the same operands in the same order as a full per-pixel grid would:
 
     px = x + 0.5 - cx,  py = y + 0.5 - cy
     lx = px*cos + py*sin + sw/2,  ly = -px*sin + py*cos + sh/2
     inside = 0 <= lx < sw and 0 <= ly < sh
     texel = clip(floor(l / s * size))
 
-and the exact `inside` test, not the span, decides which pixels are
-written.  A span that is too wide costs a few evaluations and can never
-change a pixel, so frames are bit-identical to the full-grid form.  A
+with px*cos and -px*sin formed once per column and py*sin and py*cos
+once per row, then added in the grid's order.  The exact `inside` test,
+not the span, decides which pixels are written, so a span or a band that
+is too wide costs a few evaluations and can never change a pixel, and
+frames are bit-identical to the full-grid form.  On an inside pixel l is
+not negative, so truncating l / s * size is its floor and the low clip
+does nothing; a pixel outside is never written, and its texel index need
+only be in bounds.  A band copies its texels when all it gathered have
+alpha 255 and blends them otherwise.  Texels gathered for outside pixels
+may tip that choice, but blending at alpha 255 gives floor(t * 1.0 +
+d * 0.0 + 0.5) = t, the texel, so the choice never changes a pixel.  A
 draw may be clipped to a rectangle: inside it every pixel gets the same
 expressions, outside it nothing is written.
 
@@ -44,15 +54,13 @@ layout: both are read and written through packed uint32 views, one 4-byte
 element per pixel.
 
 A draw whose clipped box holds at least PARALLEL_DRAW_PX pixels runs in
-row strips of it (`image._row_strips`), each one the clipped kernel above
-on its own rows, possibly on another thread; a smaller one is one pass.
-Strips are disjoint, each pixel gets the same expressions as in one pass,
-and draw_photo returns only when every strip is done.  A strip whose
-texels all have alpha 255 takes the exact copy while its neighbours blend,
-and that too is exact: blending at alpha 255 gives floor(t * 1.0 +
-d * 0.0 + 0.5) = t, the texel.  Nothing is cached between calls and
-nothing is shared but the frame's disjoint rows, so draws into different
-frames may run at once from any threads.
+row strips of it (`image._row_strips`), possibly on another thread; a
+smaller one is one pass.  A strip has the rows of one band, so a large
+draw runs the same bands either way.  Strips are disjoint, each pixel gets
+the same expressions as in one pass, and draw_photo returns only when
+every strip is done.  Nothing is cached between calls and nothing is
+shared but the frame's disjoint rows, so draws into different frames may
+run at once from any threads.
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ import numpy as np
 
 from .effects import apply_chain, chain_output_size, lowers_alpha
 from .geometry import Rect, outward_bbox
-from .image import RasterImage, _row_strips
+from .image import RasterImage, _row_strips, _strip_rows
 from .photo import EmptyCropError, PhotoObject, display_size, source_rect
 from .viewport import ScreenSpec, to_screen
 
@@ -226,36 +234,52 @@ def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
     if clip.is_empty():
         return
     cos_t, sin_t = _rotation(photo)
+    axis = None
+    if cos_t == 1.0 and sin_t == 0.0:
+        # Axis-aligned: the pixels inside are one block, and the texel
+        # lookup separates into one column and one row lookup per draw.
+        x0, sx = _axis_lookup(clip.x, clip.w, cx, sw, content.width)
+        y0, sy = _axis_lookup(clip.y, clip.h, cy, sh, content.height)
+        clip = Rect(clip.x + x0, clip.y + y0, len(sx), len(sy))
+        if clip.is_empty():
+            return
+        axis = sy, sx
+
+    def strip(r0: int, r1: int) -> None:
+        _draw_clipped(frame, content, Rect(clip.x, clip.y + r0, clip.w, r1 - r0),
+                      cx, cy, sw, sh, cos_t, sin_t, axis and (axis[0][r0:r1], axis[1]))
+
     if clip.w * clip.h < PARALLEL_DRAW_PX:
-        _draw_clipped(frame, content, clip, cx, cy, sw, sh, cos_t, sin_t)
-        return
-    _row_strips(clip.h, clip.w, lambda r0, r1: _draw_clipped(
-        frame, content, Rect(clip.x, clip.y + r0, clip.w, r1 - r0), cx, cy, sw, sh, cos_t, sin_t))
+        strip(0, clip.h)
+    else:
+        _row_strips(clip.h, clip.w, strip)
+
+
+def _axis_lookup(start: int, n: int, c: float, s: float, size: int):
+    """Along one axis of an axis-aligned draw, the offset of the first of
+    the n pixels from `start` that lie inside the footprint, and the
+    texel index of each pixel inside (the pixels inside are contiguous)."""
+    lv = (np.arange(start, start + n, dtype=np.float64) + 0.5 - c) + s / 2.0
+    inside = np.flatnonzero((lv >= 0) & (lv < s))
+    if not len(inside):
+        return 0, inside
+    lv = lv[inside[0]:inside[-1] + 1]
+    return int(inside[0]), np.clip(np.floor(lv / s * size), 0, size - 1).astype(np.intp)
 
 
 def _draw_clipped(frame: Frame, content: RasterImage, clip: Rect, cx: float, cy: float,
-                  sw: float, sh: float, cos_t: float, sin_t: float) -> None:
+                  sw: float, sh: float, cos_t: float, sin_t: float, axis=None) -> None:
     """draw_photo's kernel on one non-empty clip inside the frame and the
-    photo's box, given the photo's footprint and rotation."""
+    photo's box, given the photo's footprint and rotation.  `axis` is
+    (row, column) texel lookups of an axis-aligned draw whose every clip
+    pixel lies inside."""
     cw, ch = content.width, content.height
     texels = content.packed
     pixels = frame.packed
 
-    if cos_t == 1.0 and sin_t == 0.0:
-        # Axis-aligned: row and column lookups separate, no rotation grid.
-        lx = (np.arange(clip.x, clip.x2, dtype=np.float64) + 0.5 - cx) + sw / 2.0
-        ly = (np.arange(clip.y, clip.y2, dtype=np.float64) + 0.5 - cy) + sh / 2.0
-        col_in = (lx >= 0) & (lx < sw)
-        row_in = (ly >= 0) & (ly < sh)
-        if not col_in.any() or not row_in.any():
-            return
-        c0 = int(col_in.argmax())
-        c1 = len(col_in) - int(col_in[::-1].argmax())
-        r0 = int(row_in.argmax())
-        r1 = len(row_in) - int(row_in[::-1].argmax())
-        sx = np.clip(np.floor(lx[c0:c1] / sw * cw), 0, cw - 1).astype(np.intp)
-        sy = np.clip(np.floor(ly[r0:r1] / sh * ch), 0, ch - 1).astype(np.intp)
-        block = (slice(clip.y + r0, clip.y + r1), slice(clip.x + c0, clip.x + c1))
+    if axis is not None:
+        sy, sx = axis
+        block = (slice(clip.y, clip.y2), slice(clip.x, clip.x2))
         _composite(pixels, block, texels.take(sy, axis=0).take(sx, axis=1))
         return
 
@@ -271,32 +295,42 @@ def _draw_clipped(frame: Frame, content: RasterImage, clip: Rect, cx: float, cy:
     t0 = clip.x + 0.5 - cx
     x0 = np.clip(np.floor(np.maximum(u_lo, v_lo) - t0) - 1.0, 0, clip.w).astype(np.intp)
     x1 = np.clip(np.ceil(np.minimum(u_hi, v_hi) - t0) + 2.0, 0, clip.w).astype(np.intp)
-    counts = np.maximum(x1 - x0, 0)
-    n = int(counts.sum())
-    if n == 0:
-        return
+    # A row without a span widens no band.
+    empty = x0 >= x1
+    x0[empty], x1[empty] = clip.w, 0
 
-    # Flatten the spans into the frame column and flat frame index of every
-    # candidate pixel, then evaluate the full-grid expressions on just those
-    # pixels; a row's products repeat along its span unchanged.
-    xs = np.arange(n) + np.repeat(clip.x + x0 - (np.cumsum(counts) - counts), counts)
-    flat = xs + np.repeat(np.arange(clip.y, clip.y2) * frame.width, counts)
-    px = xs + 0.5 - cx
-    lx = px * cos_t + np.repeat(py_sin, counts) + sw / 2.0
-    ly = -px * sin_t + np.repeat(py_cos, counts) + sh / 2.0
-    inside = (lx >= 0) & (lx < sw) & (ly >= 0) & (ly < sh)
+    # Each band of rows evaluates the full-grid expressions densely on the
+    # union of its rows' spans: a column's products and a row's products
+    # are formed once, then added in the grid's order.
+    px = np.arange(clip.x, clip.x2) + 0.5 - cx
+    col_cos, col_sin = px * cos_t, -px * sin_t
+    rows = _strip_rows(clip.w)
+    starts = np.arange(0, clip.h, rows)
+    for r0, c0, c1 in zip(starts.tolist(), np.minimum.reduceat(x0, starts).tolist(),
+                          np.maximum.reduceat(x1, starts).tolist()):
+        if c0 >= c1:
+            continue
+        r1 = min(r0 + rows, clip.h)
+        lx = np.add(col_cos[c0:c1], py_sin[r0:r1, None])
+        lx += sw / 2.0
+        ly = np.add(col_sin[c0:c1], py_cos[r0:r1, None])
+        ly += sh / 2.0
+        inside = (lx >= 0) & (lx < sw) & (ly >= 0) & (ly < sh)
 
-    # Texel index floor(l / s * size), clipped, formed in place.  Both
-    # coordinates are whole numbers far inside float64's exact range, so
-    # row * width + column is exact before the integer cast.
-    for v, s, size in ((lx, sw, cw), (ly, sh, ch)):
-        v /= s
-        v *= size
-        np.floor(v, out=v)
-        np.clip(v, 0, size - 1, out=v)
-    ly *= cw
-    ly += lx
-    texel = ly.astype(np.intp)
-    if not inside.all():
-        texel, flat = texel[inside], flat[inside]
-    _composite(pixels.reshape(-1), flat, texels.reshape(-1).take(texel))
+        # Texel index floor(l / s * size), clipped.  On an inside pixel l
+        # is not negative, so truncation is floor and the low clip does
+        # nothing; outside pixels only need an index in bounds.
+        for v, s, size in ((lx, sw, cw), (ly, sh, ch)):
+            v /= s
+            v *= size
+        sx, sy = lx.astype(np.intp), ly.astype(np.intp)
+        np.minimum(sx, cw - 1, out=sx)
+        np.minimum(sy, ch - 1, out=sy)
+        sy *= cw
+        sy += sx
+        got = texels.reshape(-1).take(sy, mode="clip")
+        dst = pixels[clip.y + r0:clip.y + r1, clip.x + c0:clip.x + c1]
+        if _all_opaque(got):
+            np.copyto(dst, got, where=inside)
+        else:
+            _composite(dst, inside, got[inside])
