@@ -13,7 +13,7 @@ from pathlib import Path
 from . import bench
 from .backends import DEFAULT_THROUGHPUT, BackendKind, render_full
 from .effects import EffectKind, EffectParamError, EffectSpec, apply_effect
-from .image import PpmError, load_ppm, save_ppm
+from .image import PpmError, PpmFile, load_ppm, save_ppm
 from .photo import PhotoError
 from .plotting import write_line_chart
 from .scene import SceneFormatError, scene_load
@@ -87,8 +87,10 @@ def _backend(text: str) -> BackendKind:
 
 
 def _file_resolver(base: Path):
-    """Source name -> image, read once, relative to `base` unless absolute."""
-    return functools.cache(lambda source: load_ppm(base / source))
+    """Source name -> image, relative to `base` unless absolute.  Each file
+    is opened once and checked from its header and length; its pixels are
+    decoded only when a draw first reads them."""
+    return functools.cache(lambda source: PpmFile(base / source))
 
 
 def _cmd_effects(args) -> int:

@@ -3,7 +3,12 @@
 Images are row-major RGBA8 numpy arrays with straight (non-premultiplied)
 alpha.  P6 is the required interchange format: it is bit-exact, trivial to
 parse and carries no alpha, so saving drops alpha and loading sets it to
-255 everywhere.
+255 everywhere.  Decoding and encoding each write every output byte once.
+
+`PpmFile` is a source decoded once and only when drawn: it reads a
+file's header and length when opened, and so raises every PpmError that
+decode_ppm would, and decodes through decode_ppm on the first pixel read.
+`load_ppm` decodes at once.
 
 Pixel kernels that would touch a large image at once run in row strips of
 about STRIP_PX pixels (`_row_strips`), on up to two threads.  Strips are
@@ -179,7 +184,11 @@ def _row_strips(height: int, width: int, work) -> None:
             raise exc
 
 
-def _read_header_token(buf: bytes, pos: int) -> tuple[bytes, int]:
+class _ShortHeader(Exception):
+    """The header may run past the bytes read so far."""
+
+
+def _read_header_token(buf: bytes, pos: int, partial: bool) -> tuple[bytes, int]:
     # Skip whitespace and '#' comment lines, then collect one token.
     n = len(buf)
     while pos < n:
@@ -194,19 +203,26 @@ def _read_header_token(buf: bytes, pos: int) -> tuple[bytes, int]:
     start = pos
     while pos < n and not buf[pos:pos + 1].isspace():
         pos += 1
+    if pos == n and partial:
+        raise _ShortHeader
     if start == pos:
         raise PpmHeaderError("unexpected end of header")
     return buf[start:pos], pos
 
 
-def decode_ppm(buf: bytes) -> RasterImage:
-    """Decode a binary PPM (P6, maxval 255) byte string."""
+def _parse_header(buf: bytes, partial: bool = False) -> tuple[int, int, int]:
+    """Width, height and payload offset of the P6 header at the start of
+    `buf`, or the PpmError the header earns.  With `partial`, `buf` may be
+    only the first bytes of the file, and _ShortHeader means that the
+    answer may depend on bytes past them."""
+    if partial and len(buf) < 2:
+        raise _ShortHeader
     if buf[:2] != b"P6":
         raise PpmBadMagicError(f"not a binary PPM: magic {buf[:2]!r}")
     pos = 2
     fields = []
     for _ in range(3):
-        token, pos = _read_header_token(buf, pos)
+        token, pos = _read_header_token(buf, pos, partial)
         try:
             fields.append(int(token))
         except ValueError:
@@ -216,22 +232,121 @@ def decode_ppm(buf: bytes) -> RasterImage:
         raise PpmHeaderError(f"non-positive dimensions {width}x{height}")
     if maxval != 255:
         raise PpmMaxvalError(f"maxval {maxval} unsupported, must be 255")
-    pos += 1  # exactly one whitespace byte separates header and payload
+    # Exactly one whitespace byte separates header and payload.
+    return width, height, pos + 1
+
+
+def _check_payload(have: int, width: int, height: int) -> None:
+    """PpmTruncatedError unless `have` bytes follow the header, enough for
+    width x height RGB pixels."""
     need = width * height * 3
-    payload = buf[pos:pos + need]
-    if len(payload) < need:
-        raise PpmTruncatedError(f"payload {len(payload)} bytes, need {need}")
-    rgb = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    out = np.empty((height, width, 4), dtype=np.uint8)
-    out[:, :, :3] = rgb
-    out[:, :, 3] = 255
-    return RasterImage.from_array(out)
+    if have < need:
+        raise PpmTruncatedError(f"payload {max(0, have)} bytes, need {need}")
 
 
-def encode_ppm(image: RasterImage) -> bytes:
-    """Encode to binary PPM bytes; alpha is dropped."""
+def decode_ppm(buf: bytes) -> RasterImage:
+    """Decode a binary PPM (P6, maxval 255) byte string.
+
+    The pixels are written once, as packed little-endian words: pixel i
+    is the 4-byte word at payload offset 3*i with its high byte, the next
+    pixel's red, replaced by alpha 255.  The last pixel's word would
+    reach past the payload, so its three bytes are copied on their own.
+    """
+    width, height, pos = _parse_header(buf)
+    _check_payload(len(buf) - pos, width, height)
+    n = width * height
+    image = RasterImage.__new__(RasterImage)
+    image.width, image.height = width, height
+    image.array = np.empty((height, width, 4), dtype=np.uint8)
+    words = image.array.reshape(-1).view("<u4")
+    rgbx = np.ndarray((n - 1,), dtype="<u4", buffer=buf, offset=pos, strides=(3,))
+    np.bitwise_and(rgbx, 0x00FFFFFF, out=words[:-1])
+    words[:-1] |= 0xFF000000
+    last = image.array.reshape(-1, 4)[-1]
+    last[:3] = np.frombuffer(buf, dtype=np.uint8, count=3, offset=pos + 3 * (n - 1))
+    last[3] = 255
+    return image
+
+
+# Bytes the header reader takes first; a longer header, such as one with a
+# long comment, is read on in growing steps.
+_HEADER_READ = 256
+
+
+def _read_header(fh) -> tuple[int, int, int]:
+    """_parse_header on the leading bytes of the binary file `fh`, read
+    until they decide it."""
+    head = b""
+    step = _HEADER_READ
+    while True:
+        more = fh.read(step)
+        head += more
+        try:
+            return _parse_header(head, partial=bool(more))
+        except _ShortHeader:
+            step = len(head)
+
+
+class PpmFile(RasterImage):
+    """The image in a PPM file, decoded on first pixel access.
+
+    Construction reads only the header and the file's length and raises
+    what decode_ppm would raise on the file's bytes, so a file whose
+    pixels are never read is checked in full but never decoded.  The
+    first read of `array` decodes the file through decode_ppm and keeps
+    the pixels; later reads find them in the slot.
+    """
+
+    __slots__ = ("path",)
+
+    def __init__(self, path):
+        with open(path, "rb") as fh:
+            self.width, self.height, pos = _read_header(fh)
+            size = os.fstat(fh.fileno()).st_size
+        _check_payload(size - pos, self.width, self.height)
+        self.path = path
+
+    def __getattr__(self, name: str):
+        # Called only while a slot is empty: before the first decode.
+        if name != "array":
+            raise AttributeError(name)
+        with open(self.path, "rb") as fh:
+            self.array = decode_ppm(fh.read()).array
+        return self.array
+
+
+def encode_ppm(image: RasterImage) -> bytearray:
+    """Encode to binary PPM bytes; alpha is dropped.
+
+    Header and payload are written once into one buffer.  Each group of
+    four packed little-endian RGBA pixels p0..p3 becomes three payload
+    words: rgb0 + r1, gb1 + rg2 and b2 + rgb3, in runs of STRIP_PX groups
+    so the temporaries stay in cache; the pixels of a last partial
+    group are copied on their own.
+    """
     header = b"P6\n%d %d\n255\n" % (image.width, image.height)
-    return header + image.array[:, :, :3].tobytes()
+    n = image.width * image.height
+    out = bytearray(len(header) + 3 * n)
+    out[:len(header)] = header
+    payload = np.frombuffer(out, dtype=np.uint8, offset=len(header))
+    groups = n // 4
+    pixels = image.array.reshape(-1).view("<u4")[:4 * groups].reshape(groups, 4)
+    words = payload[:12 * groups].view("<u4").reshape(groups, 3)
+    shifted = np.empty(min(groups, STRIP_PX), dtype="<u4")
+    for g0 in range(0, groups, STRIP_PX):
+        p = pixels[g0:g0 + STRIP_PX]
+        w = words[g0:g0 + STRIP_PX]
+        t = shifted[:len(p)]
+        np.bitwise_and(p[:, 0], 0x00FFFFFF, out=w[:, 0])
+        w[:, 0] |= np.left_shift(p[:, 1], 24, out=t)
+        np.right_shift(p[:, 1], 8, out=w[:, 1])
+        w[:, 1] &= 0xFFFF
+        w[:, 1] |= np.left_shift(p[:, 2], 16, out=t)
+        np.right_shift(p[:, 2], 16, out=w[:, 2])
+        w[:, 2] &= 0xFF
+        w[:, 2] |= np.left_shift(p[:, 3], 8, out=t)
+    payload[12 * groups:] = image.array.reshape(-1, 4)[4 * groups:, :3].reshape(-1)
+    return out
 
 
 def load_ppm(path) -> RasterImage:

@@ -22,21 +22,25 @@ on the same operands in the same order as a full per-pixel grid would:
     px = x + 0.5 - cx,  py = y + 0.5 - cy
     lx = px*cos + py*sin + sw/2,  ly = -px*sin + py*cos + sh/2
     inside = 0 <= lx < sw and 0 <= ly < sh
-    texel = clip(floor(l / s * size))
+    texel = floor(l / s * size)
 
 with px*cos and -px*sin formed once per column and py*sin and py*cos
 once per row, then added in the grid's order.  The exact `inside` test,
 not the span, decides which pixels are written, so a span or a band that
 is too wide costs a few evaluations and can never change a pixel, and
-frames are bit-identical to the full-grid form.  On an inside pixel l is
-not negative, so truncating l / s * size is its floor and the low clip
-does nothing; a pixel outside is never written, and its texel index need
-only be in bounds.  A band copies its texels when all it gathered have
-alpha 255 and blends them otherwise.  Texels gathered for outside pixels
-may tip that choice, but blending at alpha 255 gives floor(t * 1.0 +
-d * 0.0 + 0.5) = t, the texel, so the choice never changes a pixel.  A
-draw may be clipped to a rectangle: inside it every pixel gets the same
-expressions, outside it nothing is written.
+frames are bit-identical to the full-grid form.  An inside pixel's texel
+index needs no clamp.  l is not negative, so truncating l / s * size is
+its floor and is not negative.  And l < s: for doubles 0 <= l < s,
+fl(l / s) <= 1 - 2**-53, the double below 1, and fl((1 - 2**-53) * size)
+< size for every whole size >= 1, so, rounding being monotone, the index
+is at most size - 1.  A pixel outside is never written, and its texel
+index need only be in bounds, which take(mode="clip") makes it.  A band
+copies its texels when all it gathered have alpha 255 and blends them
+otherwise.  Texels gathered for outside pixels may tip that choice, but
+blending at alpha 255 gives floor(t * 1.0 + d * 0.0 + 0.5) = t, the
+texel, so the choice never changes a pixel.  A draw may be clipped to a
+rectangle: inside it every pixel gets the same expressions, outside it
+nothing is written.
 
 The paint pass hides photos behind opaque ones by tiles, and that too is
 exact.  `covered_tiles` counts a tile as covered only when its four
@@ -264,7 +268,8 @@ def _axis_lookup(start: int, n: int, c: float, s: float, size: int):
     if not len(inside):
         return 0, inside
     lv = lv[inside[0]:inside[-1] + 1]
-    return int(inside[0]), np.clip(np.floor(lv / s * size), 0, size - 1).astype(np.intp)
+    # 0 <= lv < s, so the index is in 0..size-1 (see the module docstring).
+    return int(inside[0]), (lv / s * size).astype(np.intp)
 
 
 def _draw_clipped(frame: Frame, content: RasterImage, clip: Rect, cx: float, cy: float,
@@ -317,15 +322,13 @@ def _draw_clipped(frame: Frame, content: RasterImage, clip: Rect, cx: float, cy:
         ly += sh / 2.0
         inside = (lx >= 0) & (lx < sw) & (ly >= 0) & (ly < sh)
 
-        # Texel index floor(l / s * size), clipped.  On an inside pixel l
-        # is not negative, so truncation is floor and the low clip does
-        # nothing; outside pixels only need an index in bounds.
+        # Texel index floor(l / s * size).  On an inside pixel it is in
+        # 0..size-1 without a clamp (see the module docstring); an outside
+        # pixel's index is any, and take's clip keeps it in bounds.
         for v, s, size in ((lx, sw, cw), (ly, sh, ch)):
             v /= s
             v *= size
         sx, sy = lx.astype(np.intp), ly.astype(np.intp)
-        np.minimum(sx, cw - 1, out=sx)
-        np.minimum(sy, ch - 1, out=sy)
         sy *= cw
         sy += sx
         got = texels.reshape(-1).take(sy, mode="clip")

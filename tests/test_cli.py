@@ -4,6 +4,7 @@ import json
 import pytest
 
 from scrapbook import effects as fx
+from scrapbook import image
 from scrapbook.backends import BackendKind, render_full
 from scrapbook.cli import main
 from scrapbook.image import RasterImage, load_ppm, save_ppm
@@ -238,29 +239,81 @@ def test_exp_c_screen_too_small_is_one_line_error(tmp_path, capsys, screen):
     assert not out.exists()
 
 
-def _hidden_photo_scene(tmp_path, under):
+def _hidden_photo_scene(tmp_path, under, covered=True):
     """A scene whose photo "under" sits beneath a large opaque photo, or
-    off screen, with `under`'s source and crop as given."""
+    off screen, with `under`'s source and crop as given; without
+    `covered`, the large photo is left out.  The sources include three
+    bad files: a truncated payload, a bad magic and maxval 65535."""
     save_ppm(RasterImage.filled(8, 6, (10, 20, 30, 255)), tmp_path / "small.ppm")
     save_ppm(RasterImage.filled(60, 60, (200, 90, 10, 255)), tmp_path / "large.ppm")
+    (tmp_path / "truncated.ppm").write_bytes(b"P6\n4 4\n255\n" + bytes(40))
+    (tmp_path / "bad-magic.ppm").write_bytes(b"P3\n1 1\n255\n" + bytes(3))
+    (tmp_path / "maxval.ppm").write_bytes(b"P6\n1 1\n65535\n" + bytes(6))
     photos = [{"id": "under", "scale": 1, "angle": 0, "effects": [], "z": 0, **under},
               {"id": "top", "source": "large.ppm", "crop": None, "scale": 8, "angle": 10,
                "center": [500, 400], "effects": [], "z": 1}]
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({"standard_viewport": [1024, 768], "z_base": 0,
-                                 "photos": photos}), encoding="utf-8")
+                                 "photos": photos if covered else photos[:1]}),
+                     encoding="utf-8")
     return scene
 
 
-@pytest.mark.parametrize("under", [
-    {"source": "small.ppm", "crop": [100, 100, 5, 5], "center": [500, 400]},
-    {"source": "gone.ppm", "crop": None, "center": [500, 400]},
-    {"source": "small.ppm", "crop": [100, 100, 5, 5], "center": [-900, 400]},
-], ids=["hidden-crop-outside-source", "hidden-missing-source", "off-screen-crop-outside-source"])
+@pytest.mark.parametrize("under, says", [
+    ({"source": "small.ppm", "crop": [100, 100, 5, 5], "center": [500, 400]}, "under"),
+    ({"source": "gone.ppm", "crop": None, "center": [500, 400]}, "gone.ppm"),
+    ({"source": "small.ppm", "crop": [100, 100, 5, 5], "center": [-900, 400]}, "under"),
+    ({"source": "truncated.ppm", "crop": None, "center": [500, 400]}, "payload 40 bytes"),
+    ({"source": "bad-magic.ppm", "crop": None, "center": [500, 400]}, "magic b'P3'"),
+    ({"source": "maxval.ppm", "crop": None, "center": [500, 400]}, "maxval 65535"),
+], ids=["hidden-crop-outside-source", "hidden-missing-source", "off-screen-crop-outside-source",
+        "hidden-truncated-source", "hidden-bad-magic-source", "hidden-maxval-65535-source"])
 @pytest.mark.parametrize("backend", ["raster", "scenegraph", "legacy"])
-def test_hidden_photo_errors_are_one_line_errors(tmp_path, capsys, under, backend):
-    scene = _hidden_photo_scene(tmp_path, under)
-    err = _user_error(capsys, ["render", "--scene", str(scene), "--backend", backend,
-                               "--out", str(tmp_path / "f.ppm")])
-    assert "under" in err or "gone.ppm" in err
-    assert not (tmp_path / "f.ppm").exists()
+def test_hidden_photo_errors_are_one_line_errors(tmp_path, capsys, under, says, backend):
+    """A hidden photo fails as it would if drawn: the same one-line error,
+    exit code 2 and no frame."""
+    out = tmp_path / "f.ppm"
+    errors = []
+    for scene in (_hidden_photo_scene(tmp_path, under),
+                  _hidden_photo_scene(tmp_path, {**under, "center": [500, 400]}, covered=False)):
+        errors.append(_user_error(capsys, ["render", "--scene", str(scene), "--backend",
+                                           backend, "--out", str(out)]))
+        assert not out.exists()
+    assert says in errors[0]
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("backend", ["raster", "scenegraph", "legacy"])
+def test_render_decodes_each_drawn_source_once_and_no_other(tmp_path, monkeypatch, backend):
+    """A render reads every source's header, for the size pass and the
+    checks, but decodes only the sources of drawn photos, each once, and
+    none of a photo culled under an opaque one or off screen."""
+    sizes = {"shared.ppm": (8, 6), "top.ppm": (60, 60), "covered.ppm": (10, 10),
+             "off.ppm": (12, 12)}
+    for name, (w, h) in sizes.items():
+        save_ppm(RasterImage.filled(w, h, (10, 20, 30, 255)), tmp_path / name)
+
+    def photo(pid, source, center, z, scale=1, angle=0):
+        return {"id": pid, "source": source, "crop": None, "scale": scale, "angle": angle,
+                "center": center, "effects": [], "z": z}
+
+    photos = [photo("covered", "covered.ppm", [500, 400], 0),
+              photo("off", "off.ppm", [-900, 400], 1),
+              photo("top", "top.ppm", [500, 400], 2, scale=8, angle=10),
+              photo("left", "shared.ppm", [60, 60], 3),
+              photo("right", "shared.ppm", [960, 700], 4, angle=30)]
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({"standard_viewport": [1024, 768], "z_base": 0,
+                                 "photos": photos}), encoding="utf-8")
+    decoded = []
+    decode = image.decode_ppm
+
+    def counting_decode(buf):
+        img = decode(buf)
+        decoded.append((img.width, img.height))
+        return img
+
+    monkeypatch.setattr(image, "decode_ppm", counting_decode)
+    assert main(["render", "--scene", str(scene), "--backend", backend,
+                 "--out", str(tmp_path / "f.ppm")]) == 0
+    assert sorted(decoded) == sorted([sizes["shared.ppm"], sizes["top.ppm"]])

@@ -8,13 +8,14 @@ import json
 import socket
 import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrapbook import effects as fx
 from scrapbook.effects import EffectKind, EffectParamError, EffectSpec
 from scrapbook.geometry import Rect
-from scrapbook.image import PpmError, RasterImage, decode_ppm
+from scrapbook.image import PpmError, PpmFile, RasterImage, decode_ppm
 from scrapbook.photo import PhotoObject
 from scrapbook.scene import SceneDocument, SceneFormatError, scene_load, scene_save
 from scrapbook.service import (ERR_BAD_IMAGE, ERR_INTERNAL, ERR_UNKNOWN_OP, MAX_BODY_BYTES,
@@ -160,13 +161,26 @@ def near_ppm(draw):
     return header + draw(sep) + draw(st.binary(max_size=120))
 
 
+@pytest.fixture(scope="module")
+def ppm_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("ppm") / "photo.ppm"
+
+
 @PROPERTY
 @given(near_ppm() | st.binary(max_size=64))
-def test_decode_ppm_returns_or_raises_ppm_error(data):
-    try:
-        decode_ppm(data)
-    except PpmError:
-        pass
+def test_decode_ppm_returns_or_raises_ppm_error(ppm_path, data):
+    """decode_ppm returns or raises a PpmError, and the header-only reader
+    (PpmFile on the same bytes) gives the same size or the same error."""
+    ppm_path.write_bytes(data)
+    outcomes = []
+    for read in (lambda: decode_ppm(data), lambda: PpmFile(ppm_path)):
+        try:
+            img = read()
+        except PpmError as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append((img.width, img.height))
+    assert outcomes[0] == outcomes[1]
 
 
 # Header text a client can put on one line: Latin-1 without control characters.

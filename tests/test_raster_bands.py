@@ -239,3 +239,32 @@ def test_translucent_texels_that_no_inside_pixel_samples_take_the_blend():
     assert got == want
     assert False in gathered
     assert blended and all(blended)
+
+
+def test_texel_index_of_an_inside_coordinate_needs_no_clamp():
+    """The rounding fact that lets the kernel take floor(l / s * size) with
+    no clamp: for doubles 0 <= l < s, fl(l / s) <= 1 - 2**-53, and then
+    fl(fl(l / s) * size) < size for every whole size >= 1.  Checked
+    exhaustively for l one to eight ulps below s, over widths s at powers
+    of two and their neighbours from 2**-40 to 2**40, every whole s to 512
+    and seeded draws from the sizes a photo takes, against every size to
+    1024 and powers of two and their neighbours to 2**40."""
+    rng = np.random.default_rng(53)
+    powers = 2.0 ** np.arange(-40, 41)
+    s = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+                        np.arange(1.0, 513.0), rng.uniform(1.0, 2.0 ** 24, 1000),
+                        rng.uniform(0.0, 1.0, 200) * 2.0 ** rng.integers(-30, 30, 200)])
+    ints = 2 ** np.arange(11, 41)
+    size = np.unique(np.concatenate([np.arange(1, 1025), ints - 1, ints, ints + 1]))
+    size = size.astype(np.float64)
+    assert s.min() > 0 and np.all(size < 2 ** 53)
+    below_one = 1.0 - 2.0 ** -53
+    assert np.nextafter(1.0, 0) == below_one
+    lv = s.copy()
+    for _ in range(8):
+        lv = np.nextafter(lv, 0)
+        # The kernel's order: v /= s, then v *= size, then truncate.
+        ratio = lv / s
+        assert np.all(ratio <= below_one)
+        index = (ratio[:, None] * size[None, :]).astype(np.intp)
+        assert np.all(index <= size.astype(np.intp) - 1)
