@@ -12,10 +12,23 @@ The kinds that map colour run in row strips (`image._row_strips`),
 possibly on two threads: strips are disjoint, each pixel gets the same
 float64 expression on the same operands as in a whole-image pass (a
 convolution strip reads one halo row above and below it), and the call
-returns only when every strip is done.  Invert, brightness and contrast
-map each channel value on its own, so they run their expression once on
-the 256 values and look the quantized table up, which gives the same
-bytes.
+returns only when every strip is done.  Only the work that depends on
+the whole pixel runs per pixel; every other operand comes from a small
+table built with the same expression, or from exact integer sums:
+- invert, brightness and contrast run their expression once on the 256
+  channel values and look a pixel's (R, G) and (B, A) byte pairs up in
+  two 65,536-entry tables;
+- grayscale, desaturate and blackwhite add the luma products 0.299*r,
+  0.587*g and 0.114*b from three 256-entry tables, in that order;
+- hue and saturate take lightness, delta, saturation, c and m from
+  tables indexed by the pixel's max and min channel (see `_hsl`);
+- blur, sharpen and emboss sum whole weights in int32, which is exact
+  (`Kernel3x3.accumulator`); the divide, bias and rounding stay float64.
+Sepia still runs `rgb @ _SEPIA.T` in float64 per pixel, so its bytes rest
+on how BLAS evaluates that product.  OpenBLAS's Haswell kernel gives the
+fused chain fma(b, s2, fma(g, s1, r*s0)) on a strip; the plain
+left-to-right sum differs on 751 of the 2**24 colours after quantizing.
+Sepia's bytes hold only where BLAS fuses the same way.
 
 Each kind is one row of `_KINDS`: its apply function, its parameter schema
 (a check per name plus the JSON form where it differs), its growth per
@@ -26,6 +39,7 @@ all read that row.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -176,8 +190,22 @@ class Kernel3x3:
     def __post_init__(self):
         if len(self.weights) != 9:
             raise ValueError(f"kernel needs 9 weights, got {len(self.weights)}")
+        named = [(f"weight {i}", w) for i, w in enumerate(self.weights)]
+        for name, value in named + [("divisor", self.divisor), ("bias", self.bias)]:
+            if not is_finite_number(value):
+                raise ValueError(f"kernel {name} must be a finite number, got {value!r}")
         if self.divisor == 0:
             raise ValueError("kernel divisor must not be zero")
+
+    @property
+    def accumulator(self) -> type:
+        """int32 when every weight is whole and 255 * sum(|w|) < 2**31: then
+        every partial sum of weight * channel is an int32 equal to the
+        float64 one.  float64 otherwise."""
+        if all(float(w).is_integer() for w in self.weights) \
+                and 255 * sum(abs(int(w)) for w in self.weights) < 2 ** 31:
+            return np.int32
+        return np.float64
 
 
 BLUR_KERNEL = Kernel3x3((1, 1, 1, 1, 1, 1, 1, 1, 1), divisor=9.0)
@@ -189,105 +217,66 @@ def _round_half_up(arr: np.ndarray) -> np.ndarray:
     return np.floor(arr + 0.5)
 
 
-def _quantize(arr: np.ndarray) -> np.ndarray:
-    return np.clip(_round_half_up(arr), 0, 255).astype(np.uint8)
-
-
-def _luma(rgb: np.ndarray) -> np.ndarray:
-    return _round_half_up(0.299 * rgb[..., 0] + 0.587 * rgb[..., 1] + 0.114 * rgb[..., 2])
-
-
-def _rgb_to_hsl(rgb: np.ndarray):
-    """RGB in [0,1] to hexagonal HSL: H in [0,360), S and L in [0,1]."""
-    r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
-    mx = rgb.max(axis=-1)
-    mn = rgb.min(axis=-1)
-    light = (mx + mn) / 2.0
-    delta = mx - mn
-    chromatic = delta > 0
-    sat = np.zeros_like(light)
-    denom = 1.0 - np.abs(2.0 * light - 1.0)
-    np.divide(delta, denom, out=sat, where=chromatic)
-    h = np.zeros_like(light)
-    r_max = chromatic & (mx == r)
-    g_max = chromatic & (mx == g) & ~r_max
-    b_max = chromatic & ~r_max & ~g_max
-    with np.errstate(invalid="ignore", divide="ignore"):
-        h = np.where(r_max, ((g - b) / delta) % 6.0, h)
-        h = np.where(g_max, (b - r) / delta + 2.0, h)
-        h = np.where(b_max, (r - g) / delta + 4.0, h)
-    return h * 60.0, sat, light
-
-
-def _hsl_to_rgb(h: np.ndarray, s: np.ndarray, light: np.ndarray) -> np.ndarray:
-    c = (1.0 - np.abs(2.0 * light - 1.0)) * s
-    hp = (h % 360.0) / 60.0
-    x = c * (1.0 - np.abs(hp % 2.0 - 1.0))
-    zero = np.zeros_like(c)
-    sector = [hp < 1, hp < 2, hp < 3, hp < 4, hp < 5, hp >= 5]
-    r1 = np.select(sector, [c, x, zero, zero, x, c])
-    g1 = np.select(sector, [x, c, c, x, zero, zero])
-    b1 = np.select(sector, [zero, zero, x, c, c, x])
-    m = light - c / 2.0
-    return np.stack([r1 + m, g1 + m, b1 + m], axis=-1)
+def _quantize(arr: np.ndarray, dtype=np.uint8) -> np.ndarray:
+    """Round a float64 temporary half-up and clamp it to 0..255; arr is
+    overwritten.  The clamped arr + 0.5 is not negative, so narrowing it
+    truncates to the floor: clamping the floor gives the same value."""
+    arr += 0.5
+    np.clip(arr, 0, 255, out=arr)
+    return arr.astype(dtype)
 
 
 def convolve3x3(image: RasterImage, kernel: Kernel3x3) -> RasterImage:
-    """Convolve RGB channels with clamp-to-edge borders; alpha is copied."""
+    """Convolve RGB channels with clamp-to-edge borders; alpha is copied.
+
+    The sums run in `kernel.accumulator`, so the built-in kernels add
+    int32 channels; the divide, bias and rounding are float64 either way.
+    """
     src = image.array
     h, w = image.height, image.width
-    taps = [(divmod(idx, 3), weight) for idx, weight in enumerate(kernel.weights) if weight != 0]
+    acc_type = kernel.accumulator
+    weights = [int(wt) if acc_type is np.int32 else wt for wt in kernel.weights]
+    taps = [(divmod(idx, 3), weight) for idx, weight in enumerate(weights) if weight != 0]
+    taps = taps or [((1, 1), 0)]
     out = np.empty_like(src)
 
     def strip(r0: int, r1: int) -> None:
-        rows = np.clip(np.arange(r0 - 1, r1 + 1), 0, h - 1)
-        padded = np.pad(src[rows, :, :3].astype(np.float64), ((0, 0), (1, 1), (0, 0)), mode="edge")
-        acc = np.zeros((r1 - r0, w, 3))
-        for (dy, dx), weight in taps:
-            acc += weight * padded[dy:dy + r1 - r0, dx:dx + w]
+        # Rows r0 - 1 .. r1 and columns -1 .. w, clamped to the edge.
+        n, top, bottom = r1 - r0, max(r0 - 1, 0), min(r1 + 1, h)
+        padded = np.empty((n + 2, w + 2, 3), acc_type)
+        inner = padded[top - r0 + 1:bottom - r0 + 1, 1:-1]
+        inner[...] = src[top:bottom, :, :3]
+        padded[0], padded[-1] = padded[top - r0 + 1], padded[bottom - r0]
+        padded[:, 0], padded[:, -1] = padded[:, 1], padded[:, -2]
+        (dy, dx), weight = taps[0]
+        acc = weight * padded[dy:dy + n, dx:dx + w]
+        for (dy, dx), weight in taps[1:]:
+            window = padded[dy:dy + n, dx:dx + w]
+            if weight == 1:
+                acc += window
+            elif weight == -1:
+                acc -= window
+            else:
+                acc += weight * window
         out[r0:r1, :, :3] = _quantize(acc / kernel.divisor + kernel.bias)
         out[r0:r1, :, 3] = src[r0:r1, :, 3]
 
     _row_strips(h, w, strip)
-    return RasterImage.from_array(out)
+    return RasterImage._adopt(out)
 
 
-def _rgb(fn):
-    """Row adapter for kinds that map the float RGB planes: fn(rgb, params)
-    is quantized and alpha is kept, one row strip at a time."""
+def _per_pixel(kernel):
+    """Row adapter for the kinds that map each pixel on its own:
+    kernel(params) builds what the call needs once, such as its tables,
+    and returns strip(src, out), which writes the RGBA rows `out` from
+    the same rows `src` and keeps alpha."""
     def apply(image: RasterImage, params: dict) -> RasterImage:
         src = image.array
         out = np.empty_like(src)
-
-        def strip(r0: int, r1: int) -> None:
-            out[r0:r1, :, :3] = _quantize(fn(src[r0:r1, :, :3].astype(np.float64), params))
-            out[r0:r1, :, 3] = src[r0:r1, :, 3]
-
-        _row_strips(image.height, image.width, strip)
-        return RasterImage.from_array(out)
+        strip = kernel(params)
+        _row_strips(image.height, image.width, lambda r0, r1: strip(src[r0:r1], out[r0:r1]))
+        return RasterImage._adopt(out)
     return apply
-
-
-def _lut(fn):
-    """Row adapter for kinds that map each channel value on its own:
-    fn(values, params) runs once on the 256 channel values, and its
-    quantized table is looked up per channel.  That equals quantizing fn
-    on the float RGB planes."""
-    def apply(image: RasterImage, params: dict) -> RasterImage:
-        # A huge contrast factor overflows to +-inf on far channel values;
-        # the quantizer clamps that to 0 or 255, as it would per pixel.
-        with np.errstate(over="ignore"):
-            table = _quantize(fn(np.arange(256.0), params))
-        src = image.array
-        out = np.empty_like(src)
-        out[:, :, :3] = table.take(src[:, :, :3])
-        out[:, :, 3] = src[:, :, 3]
-        return RasterImage.from_array(out)
-    return apply
-
-
-def _gray(rgb, params):
-    return np.repeat(_luma(rgb)[..., None], 3, axis=-1)
 
 
 _SEPIA = np.array([[0.393, 0.769, 0.189],
@@ -295,19 +284,185 @@ _SEPIA = np.array([[0.393, 0.769, 0.189],
                    [0.272, 0.534, 0.131]])
 
 
-def _hue(rgb, params):
-    h, s, light = _rgb_to_hsl(rgb / 255.0)
-    return _hsl_to_rgb((h + params["degrees"]) % 360.0, s, light) * 255.0
+def _sepia(params):
+    def strip(src, out):
+        out[..., :3] = _quantize(src[..., :3].astype(np.float64) @ _SEPIA.T)
+        out[..., 3] = src[..., 3]
+    return strip
 
 
-def _saturate(rgb, params):
-    h, s, light = _rgb_to_hsl(rgb / 255.0)
-    return _hsl_to_rgb(h, np.clip(s * params["factor"], 0.0, 1.0), light) * 255.0
+def _table(fn):
+    """Kernel for the kinds that map each channel value on its own:
+    fn(values, params) runs once on the 256 channel values, which equals
+    quantizing fn on the float RGB planes.  A pixel's (R, G) and (B, A)
+    byte pairs are then looked up as '<u2' words in two 65,536-entry
+    tables; the second keeps A."""
+    def kernel(params):
+        # A huge contrast factor overflows to +-inf on far channel values;
+        # the quantizer clamps that to 0 or 255, as it would per pixel.
+        with np.errstate(over="ignore"):
+            table = _quantize(fn(np.arange(256.0), params), "<u2")
+        low = np.tile(table, 256)
+        rg = low | np.repeat(table << 8, 256)
+        ba = low | np.arange(0, 65536, 256, dtype="<u2").repeat(256)
+
+        def strip(src, out):
+            pairs, dst = src.view("<u2"), out.view("<u2")
+            rg.take(pairs[..., 0], out=dst[..., 0], mode="clip")
+            ba.take(pairs[..., 1], out=dst[..., 1], mode="clip")
+        return strip
+    return kernel
 
 
-def _blackwhite(rgb, params):
-    mask = _luma(rgb) >= params["threshold"]
-    return np.repeat(np.where(mask, 255.0, 0.0)[..., None], 3, axis=-1)
+def _frozen(*tables):
+    """Cached tables are shared by every call, so they are read-only."""
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+@functools.cache
+def _luma_tables():
+    """The products 0.299*v, 0.587*v and 0.114*v of the 256 channel values."""
+    v = np.arange(256.0)
+    return _frozen(0.299 * v, 0.587 * v, 0.114 * v)
+
+
+# The grey byte of each luma for grayscale and desaturate: the luma itself.
+_GREY = np.arange(256)
+
+
+def _luma(tone):
+    """Kernel for the kinds that write a grey of the pixel's luma, where
+    luma = floor(0.299*r + 0.587*g + 0.114*b + 0.5), summed in that order
+    from the product tables, and tone(params) is the 256-entry table of the
+    grey byte for each luma.  Luma lies in 0..255, so narrowing the sum
+    plus 0.5 gives it."""
+    def kernel(params):
+        grey = tone(params).astype("<u4") * 0x010101
+        red, green, blue = _luma_tables()
+
+        def strip(src, out):
+            luma = red.take(src[..., 0])
+            luma += green.take(src[..., 1])
+            luma += blue.take(src[..., 2])
+            luma += 0.5
+            words = out.view("<u4")[..., 0]
+            np.bitwise_and(src.view("<u4")[..., 0], 0xFF000000, out=words)
+            words |= grey.take(luma.astype(np.uint8))
+        return strip
+    return kernel
+
+
+@functools.cache
+def _hsl_tables():
+    """What hexagonal RGB-to-HSL takes from a pixel's largest and smallest
+    channel alone, indexed by max * 256 + min: lightness, the hue divisor
+    (delta, or 1 for a grey, whose hue quotient is then 0 as its hue is)
+    and saturation.  Also the hue numerator a/255 - b/255 of two channels,
+    indexed by a + 256 * b."""
+    v = np.arange(256) / 255.0
+    mx, mn = np.repeat(v, 256), np.tile(v, 256)
+    light = (mx + mn) / 2.0
+    delta = mx - mn
+    chromatic = delta > 0
+    sat = np.zeros_like(light)
+    np.divide(delta, 1.0 - np.abs(2.0 * light - 1.0), out=sat, where=chromatic)
+    return _frozen(mn - mx, light, np.where(chromatic, delta, 1.0), sat)
+
+
+# The hue offset by the pixel's max channel code (8 red, 16 green, 0 blue)
+# plus 1 where the quotient is negative: red adds 0, or 6 to a negative
+# quotient, which is q % 6.0 for |q| <= 1; green adds 2 and blue 4.
+_HUE_OFFSET = np.zeros(18)
+_HUE_OFFSET[[8, 9, 16, 17, 0, 1]] = 0.0, 6.0, 2.0, 2.0, 4.0, 4.0
+# Bit shift of the c, x and zero channel in an output word, per hue sector:
+# sectors 0..5 give (c, x, 0), (x, c, 0), (0, c, x), (0, x, c), (x, 0, c)
+# and (c, 0, x) as (R, G, B).
+_SHIFT_C = np.array([0, 8, 8, 16, 16, 0], dtype="<u4")
+_SHIFT_X = np.array([8, 0, 16, 8, 0, 16], dtype="<u4")
+_SHIFT_ZERO = np.array([16, 16, 0, 0, 8, 8], dtype="<u4")
+
+
+def _hsl(degrees, factor=None):
+    """Kernel of hue (turn by degrees) and saturate (degrees 0, scale the
+    saturation by factor) with hexagonal HSL in float64.
+
+    Each value is the expression of a per-pixel RGB-HSL-RGB round trip on
+    the same operands.  The max and min of the uint8 channels pick the
+    channels the max and min of v/255 would.  Lightness, delta, saturation,
+    c = (1 - |2l - 1|) * s, m = l - c/2 and the bytes of c + m and 0 + m
+    come from per-(max, min) tables.  Per pixel there remain the hue
+    quotient and its offset, (h + degrees) % 360 % 360, the sector, the
+    remainder hp % 2 and the x channel.  Adding 0 degrees leaves h, which
+    lies in [0, 360], so saturate takes the same path.
+
+    While |degrees| <= 2**40, every |h + degrees| < 2**52 and the % 360
+    needs no fmod: with t = trunc((h + degrees) / 360), which is the true
+    quotient or one further from zero, r = (h + degrees) - 360*t is exact
+    and lies in (-360, 360); numpy's remainder is then r + 360 where r < 0,
+    rounded as numpy rounds it, and r elsewhere, and the second % 360 only
+    turns 360 into 0.  hp % 2 is hp less the even part of its floor, exact
+    by Sterbenz's lemma.
+    """
+    numerator, light, divisor, sat = _hsl_tables()
+    s = sat if factor is None else np.clip(sat * factor, 0.0, 1.0)
+    c = (1.0 - np.abs(2.0 * light - 1.0)) * s
+    m = light - c / 2.0
+    c_byte = _quantize((c + m) * 255.0, "<u4")
+    zero_byte = _quantize((0.0 + m) * 255.0, "<u4")
+    small = abs(degrees) <= 2.0 ** 40
+
+    def strip(src, out):
+        r, g, b = src[..., 0], src[..., 1], src[..., 2]
+        hi = np.maximum(np.maximum(r, g), b)
+        idx = hi.astype(np.intp)
+        idx <<= 8
+        idx |= np.minimum(np.minimum(r, g), b)
+        r_max = r == hi
+        g_max = g == hi
+        g_max &= ~r_max
+        # The max channel's code shifts the pair (g, b), (b, r) or (r, g)
+        # of the word R | G<<8 | B<<16 | R<<24 to its low 16 bits.
+        code = r_max.view(np.uint8) << 3
+        code |= g_max.view(np.uint8) << 4
+        words = src.view("<u4")[..., 0]
+        pair = words & 0xFFFFFF
+        pair |= words << 24
+        pair >>= code
+        pair &= 0xFFFF
+        h = numerator.take(pair)
+        h /= divisor.take(idx)
+        code |= (h < 0).view(np.uint8)
+        h += _HUE_OFFSET.take(code)
+        h *= 60.0
+        h += degrees
+        if small:
+            turns = h / 360.0
+            np.trunc(turns, out=turns)
+            turns *= 360.0
+            h -= turns
+            h += 360.0 * (h < 0)
+            h -= 360.0 * (h >= 360.0)
+        else:
+            np.remainder(h, 360.0, out=h)
+            np.remainder(h, 360.0, out=h)
+        h /= 60.0
+        sector = h.astype(np.uint8)
+        h -= sector & 6
+        np.minimum(sector, 5, out=sector)
+        h -= 1.0
+        np.abs(h, out=h)
+        np.subtract(1.0, h, out=h)
+        h *= c.take(idx)
+        h += m.take(idx)
+        h *= 255.0
+        rgba = out.view("<u4")[..., 0]
+        np.bitwise_and(words, 0xFF000000, out=rgba)
+        rgba |= _quantize(h, "<u4") << _SHIFT_X.take(sector)
+        rgba |= c_byte.take(idx) << _SHIFT_C.take(sector)
+        rgba |= zero_byte.take(idx) << _SHIFT_ZERO.take(sector)
+    return strip
 
 
 def _opacity_alpha(alpha, params):
@@ -317,7 +472,7 @@ def _opacity_alpha(alpha, params):
 def _opacity(image, params):
     out = image.array.copy()
     out[:, :, 3] = _opacity_alpha(out[:, :, 3], params)
-    return RasterImage.from_array(out)
+    return RasterImage._adopt(out)
 
 
 def _border(image, params):
@@ -326,7 +481,7 @@ def _border(image, params):
     out = np.empty((h + 2 * width, w + 2 * width, 4), dtype=np.uint8)
     out[:, :] = params["color"]
     out[width:width + h, width:width + w] = image.array
-    return RasterImage.from_array(out)
+    return RasterImage._adopt(out)
 
 
 def _redeye(image, params):
@@ -338,7 +493,7 @@ def _redeye(image, params):
         hot = r > 1.5 * np.maximum(g, b)
         r_fixed = np.where(hot, _round_half_up((g + b) / 2.0), r)
         out[region.y:region.y2, region.x:region.x2, 0] = np.clip(r_fixed, 0, 255).astype(np.uint8)
-    return RasterImage.from_array(out)
+    return RasterImage._adopt(out)
 
 
 class _Kind(NamedTuple):
@@ -356,17 +511,19 @@ class _Kind(NamedTuple):
 
 
 _KINDS = {
-    EffectKind.GRAYSCALE: _Kind(_rgb(_gray)),
-    EffectKind.INVERT: _Kind(_lut(lambda v, p: 255.0 - v)),
-    EffectKind.SEPIA: _Kind(_rgb(lambda rgb, p: rgb @ _SEPIA.T)),
-    EffectKind.BRIGHTNESS: _Kind(_lut(lambda v, p: v + p["delta"]),
+    EffectKind.GRAYSCALE: _Kind(_per_pixel(_luma(lambda p: _GREY))),
+    EffectKind.INVERT: _Kind(_per_pixel(_table(lambda v, p: 255.0 - v))),
+    EffectKind.SEPIA: _Kind(_per_pixel(_sepia)),
+    EffectKind.BRIGHTNESS: _Kind(_per_pixel(_table(lambda v, p: v + p["delta"])),
                                  {"delta": _number(-255, 255)}),
-    EffectKind.CONTRAST: _Kind(_lut(lambda v, p: (v - 128.0) * p["factor"] + 128.0),
+    EffectKind.CONTRAST: _Kind(_per_pixel(_table(lambda v, p: (v - 128.0) * p["factor"] + 128.0)),
                                {"factor": _number(0)}),
-    EffectKind.HUE: _Kind(_rgb(_hue), {"degrees": _number()}),
-    EffectKind.SATURATE: _Kind(_rgb(_saturate), {"factor": _number(0)}),
-    EffectKind.DESATURATE: _Kind(_rgb(_gray)),  # same luma replication
-    EffectKind.BLACKWHITE: _Kind(_rgb(_blackwhite), {"threshold": _number(0, 255)}),
+    EffectKind.HUE: _Kind(_per_pixel(lambda p: _hsl(p["degrees"])), {"degrees": _number()}),
+    EffectKind.SATURATE: _Kind(_per_pixel(lambda p: _hsl(0.0, p["factor"])),
+                               {"factor": _number(0)}),
+    EffectKind.DESATURATE: _Kind(_per_pixel(_luma(lambda p: _GREY))),  # same as grayscale
+    EffectKind.BLACKWHITE: _Kind(_per_pixel(_luma(lambda p: np.where(_GREY >= p["threshold"], 255, 0))),
+                                 {"threshold": _number(0, 255)}),
     EffectKind.BLUR: _Kind(lambda image, p: convolve3x3(image, BLUR_KERNEL)),
     EffectKind.SHARPEN: _Kind(lambda image, p: convolve3x3(image, SHARPEN_KERNEL)),
     EffectKind.EMBOSS: _Kind(lambda image, p: convolve3x3(image, EMBOSS_KERNEL)),
@@ -410,11 +567,12 @@ def lowers_alpha(effects) -> bool:
 
 
 def apply_chain(image: RasterImage, effects) -> RasterImage:
-    """Left-to-right fold of apply_effect; the empty chain is the identity."""
-    out = image.copy()
+    """Left-to-right fold of apply_effect into a new image; the empty chain
+    gives a copy."""
+    out = image
     for spec in effects:
         out = apply_effect(out, spec)
-    return out
+    return image.copy() if out is image else out
 
 
 def chain_sizes(width: int, height: int, effects):

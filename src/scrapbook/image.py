@@ -99,9 +99,15 @@ class RasterImage:
         if arr.ndim != 3 or arr.shape[2] != 4 or arr.dtype != np.uint8 or 0 in arr.shape:
             raise ValueError(f"expected non-empty (h, w, 4) uint8 array, "
                              f"got {arr.shape} {arr.dtype}")
+        return cls._adopt(np.array(arr, order="C"))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "RasterImage":
+        """Build around a fresh C-contiguous (h, w, 4) uint8 array, without
+        a copy; the caller hands it over and keeps no other reference."""
         img = cls.__new__(cls)
         img.height, img.width = arr.shape[:2]
-        img.array = np.array(arr, order="C")
+        img.array = arr
         return img
 
     @property
@@ -255,9 +261,7 @@ def decode_ppm(buf: bytes) -> RasterImage:
     width, height, pos = _parse_header(buf)
     _check_payload(len(buf) - pos, width, height)
     n = width * height
-    image = RasterImage.__new__(RasterImage)
-    image.width, image.height = width, height
-    image.array = np.empty((height, width, 4), dtype=np.uint8)
+    image = RasterImage._adopt(np.empty((height, width, 4), dtype=np.uint8))
     words = image.array.reshape(-1).view("<u4")
     rgbx = np.ndarray((n - 1,), dtype="<u4", buffer=buf, offset=pos, strides=(3,))
     np.bitwise_and(rgbx, 0x00FFFFFF, out=words[:-1])

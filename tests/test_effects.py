@@ -254,6 +254,19 @@ def test_zero_divisor_rejected():
         Kernel3x3((1,) * 9, divisor=0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_kernel_values_rejected(bad):
+    for i in range(9):
+        weights = [1] * 9
+        weights[i] = bad
+        with pytest.raises(ValueError, match=f"weight {i} must be a finite number"):
+            Kernel3x3(tuple(weights))
+    with pytest.raises(ValueError, match="divisor must be a finite number"):
+        Kernel3x3((1,) * 9, divisor=bad)
+    with pytest.raises(ValueError, match="bias must be a finite number"):
+        Kernel3x3((1,) * 9, bias=bad)
+
+
 # --- chains ---------------------------------------------------------------
 
 def test_empty_chain_is_identity(rng):

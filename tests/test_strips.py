@@ -1,11 +1,12 @@
 """Row-strip kernels against the whole-image kernels they replaced.
 
 `whole_rgb` and `whole_convolve3x3` are the whole-image effect kernels as
-they stood before pixel work ran in row strips, and `FLOAT_FNS` holds each
-kind's float function, the one the table kinds (invert, brightness,
-contrast) no longer run per pixel.  They are test-only oracles, as
-`mgrid_draw_photo` is for draws.  Properties run with one worker and with
-two, on shapes at strip edges; every generator is derandomized.
+they stood before pixel work ran in row strips, and `FLOAT_FNS` (from
+`test_effect_oracles`) holds the float function of each kind the
+per-pixel adapter runs, which no kind but sepia still runs per pixel.
+They are test-only oracles, as `mgrid_draw_photo` is for draws.
+Properties run with one worker and with two, on shapes at strip edges;
+every generator is derandomized.
 """
 
 import hashlib
@@ -33,6 +34,7 @@ from scrapbook.scene import STANDARD_VIEWPORT
 from scrapbook.viewport import ScreenSpec, to_standard
 
 import test_golden
+from test_effect_oracles import FLOAT_FNS, _quantize, random_image
 from test_raster_differential import mgrid_draw_photo
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -54,7 +56,7 @@ def whole_rgb(fn):
         src = image.array
         rgb = src[:, :, :3].astype(np.float64)
         out = np.empty_like(src)
-        out[:, :, :3] = fx._quantize(fn(rgb, params))
+        out[:, :, :3] = _quantize(fn(rgb, params))
         out[:, :, 3] = src[:, :, 3]
         return RasterImage.from_array(out)
     return apply
@@ -72,22 +74,11 @@ def whole_convolve3x3(image, kernel):
         dy, dx = divmod(idx, 3)
         acc += weight * padded[dy:dy + h, dx:dx + w]
     out = np.empty_like(src)
-    out[:, :, :3] = fx._quantize(acc / kernel.divisor + kernel.bias)
+    out[:, :, :3] = _quantize(acc / kernel.divisor + kernel.bias)
     out[:, :, 3] = src[:, :, 3]
     return RasterImage.from_array(out)
 
 
-FLOAT_FNS = {
-    EffectKind.GRAYSCALE: fx._gray,
-    EffectKind.INVERT: lambda rgb, p: 255.0 - rgb,
-    EffectKind.SEPIA: lambda rgb, p: rgb @ fx._SEPIA.T,
-    EffectKind.BRIGHTNESS: lambda rgb, p: rgb + p["delta"],
-    EffectKind.CONTRAST: lambda rgb, p: (rgb - 128.0) * p["factor"] + 128.0,
-    EffectKind.HUE: fx._hue,
-    EffectKind.SATURATE: fx._saturate,
-    EffectKind.DESATURATE: fx._gray,
-    EffectKind.BLACKWHITE: fx._blackwhite,
-}
 KERNELS = {EffectKind.BLUR: fx.BLUR_KERNEL, EffectKind.SHARPEN: fx.SHARPEN_KERNEL,
            EffectKind.EMBOSS: fx.EMBOSS_KERNEL}
 
@@ -111,11 +102,6 @@ def strip_shapes(draw):
     return width, max(1, height)
 
 
-def random_image(seed, width, height):
-    nprng = np.random.default_rng(seed)
-    return RasterImage.from_array(nprng.integers(0, 256, (height, width, 4), dtype=np.uint8))
-
-
 finite = dict(allow_nan=False, allow_infinity=False)
 STRIP_SPECS = st.one_of(
     st.sampled_from([fx.grayscale(), fx.invert(), fx.sepia(), fx.desaturate(),
@@ -130,7 +116,7 @@ STRIP_SPECS = st.one_of(
 
 def test_float_fns_cover_every_strip_and_table_kind():
     adapted = {kind for kind, row in fx._KINDS.items()
-               if row.apply.__qualname__.startswith(("_rgb.", "_lut."))}
+               if row.apply.__qualname__.startswith("_per_pixel.")}
     assert set(FLOAT_FNS) == adapted
 
 
