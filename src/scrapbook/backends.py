@@ -13,14 +13,16 @@ list back-to-front; only a drag frame patches the live surface in place.
 The pass draws only what can be seen.  It first walks the list top-down
 over a grid of TILE x TILE tiles: a photo whose box lies wholly in tiles
 already covered by opaque photos above it is culled, so it is neither
-prepared nor drawn, and each kept photo's draw is clipped to the bounding
-rect of its uncovered tiles.  A tile counts as covered only where the
-rasterizer provably writes every pixel of it (see `raster`), so frames
-are bit-identical to drawing every photo in full.  Every strategy runs
-the same pixel code: an `end` copies the session's static layer and
-repaints only the box at rest, through the same pass.  Strategies differ
-only in their capability tables and in what they are charged, and the
-charges below stay those of drawing every photo.
+prepared nor drawn.  Each kept photo is drawn once, on its region: its
+uncovered tiles as a short list of disjoint rects, one per run of
+uncovered tiles in a tile row, with identical neighbouring tile rows
+merged.  A tile counts as covered only where the rasterizer provably
+writes every pixel of it (see `raster`), so frames are bit-identical to
+drawing every photo in full.  Every strategy runs the same pixel code:
+an `end` copies the session's static layer and repaints only the box at
+rest, through the same pass.  Strategies differ only in their capability
+tables and in what they are charged, and the charges below stay those of
+drawing every photo.
 
 Work accounting is analytic and deterministic: one work unit is one pixel
 written, where a photo draw is charged as its outward-rounded screen
@@ -199,10 +201,27 @@ def _check_chains(backend: BackendKind, scene: SceneDocument) -> None:
 TILE = 16
 
 
+def _region(opened: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list[Rect]:
+    """The open tiles as disjoint rects, where tile (i, j) holds the columns
+    xs[j] to xs[j+1] and the rows ys[i] to ys[i+1]: one rect per run of open
+    tiles in a tile row, over a group of identical neighbouring rows."""
+    cut = np.flatnonzero((opened[1:] != opened[:-1]).any(axis=1)) + 1
+    first, last = np.concatenate(([0], cut)), np.concatenate((cut, [len(opened)]))
+    # A run starts and ends where a row padded with closed tiles changes;
+    # the changes of each row alternate start, end.
+    rows = np.zeros((len(first), opened.shape[1] + 2), dtype=bool)
+    rows[:, 1:-1] = opened[first]
+    group, col = np.nonzero(rows[:, 1:] != rows[:, :-1])
+    group, c0, c1 = group[::2], col[::2], col[1::2]
+    corners = np.stack([xs[c0], ys[first[group]], xs[c1], ys[last[group]]], axis=1)
+    return [Rect(x0, y0, x1 - x0, y1 - y0) for x0, y0, x1, y1 in corners.tolist()]
+
+
 def _visible(placed, area: Rect, screen: ScreenSpec):
-    """The photos that show in `area`, back-to-front, each with the clip
-    its draw needs: the bounding rect of its tiles not yet covered by an
-    opaque photo above it.  A photo whose tiles are all covered is left out.
+    """The photos that show in `area`, back-to-front, each with the region
+    its draw needs: the rects of its tiles not yet covered by an opaque
+    photo above it (see _region), cut to its box.  A photo whose tiles are
+    all covered is left out.
     """
     xs = np.minimum(np.arange(area.x, area.x2 + TILE, TILE), area.x2)
     ys = np.minimum(np.arange(area.y, area.y2 + TILE, TILE), area.y2)
@@ -215,15 +234,13 @@ def _visible(placed, area: Rect, screen: ScreenSpec):
         c0, c1 = (box.x - area.x) // TILE, -(-(box.x2 - area.x) // TILE)
         r0, r1 = (box.y - area.y) // TILE, -(-(box.y2 - area.y) // TILE)
         under = covered[r0:r1, c0:c1]
-        open_rows = np.flatnonzero(~under.all(axis=1))
-        if len(open_rows) == 0:
+        if under.all():
             continue
-        open_cols = np.flatnonzero(~under.all(axis=0))
-        x0, x1 = xs[c0 + open_cols[0]], xs[c0 + open_cols[-1] + 1]
-        y0, y1 = ys[r0 + open_rows[0]], ys[r0 + open_rows[-1] + 1]
-        kept.append((photo, source, Rect(int(x0), int(y0), int(x1 - x0), int(y1 - y0))))
+        tile_xs, tile_ys = xs[c0:c1 + 1], ys[r0:r1 + 1]
+        kept.append((photo, source, _region(~under, np.clip(tile_xs, box.x, box.x2),
+                                            np.clip(tile_ys, box.y, box.y2))))
         if is_opaque(photo, source):
-            under |= covered_tiles(photo, screen, xs[c0:c1 + 1], ys[r0:r1 + 1])
+            under |= covered_tiles(photo, screen, tile_xs, tile_ys)
     return kept[::-1]
 
 
@@ -237,9 +254,9 @@ def _paint(photos, sources: SourceResolver, screen: ScreenSpec,
 
     Only what can be seen is drawn: a photo hidden under opaque photos in
     the painted area is neither prepared nor drawn, and each drawn photo is
-    clipped to the tiles where it may show.  Every source is still
-    resolved and every crop and size checked, back-to-front, so a hidden
-    photo fails exactly as a drawn one does.
+    drawn in one call on its region, the tiles where it may show.  Every
+    source is still resolved and every crop and size checked,
+    back-to-front, so a hidden photo fails exactly as a drawn one does.
     """
     placed = []
     for photo in photos:
@@ -253,8 +270,8 @@ def _paint(photos, sources: SourceResolver, screen: ScreenSpec,
         area = area.intersect(damage)
         frame.array[area.y:area.y2, area.x:area.x2] = 255
     prepare = prepare or prepare_content
-    for photo, source, clip in _visible(placed, area, screen):
-        draw_photo(frame, photo, prepare(photo, source), screen, clip)
+    for photo, source, region in _visible(placed, area, screen):
+        draw_photo(frame, photo, prepare(photo, source), screen, region)
     return frame
 
 

@@ -9,15 +9,19 @@ inside the photo's rotated footprint the source texel is looked up through
 the inverse transform.  Compositing is source-over against the opaque
 frame with round-half-up channel math.
 
-The kernel's cost follows the pixels it writes.  An axis-aligned draw
-separates into one row lookup and one column lookup, made once per draw.
-A rotated draw walks the clipped bounding box in bands of rows, each of
-about image.STRIP_PX pixels (`image._strip_rows`).  The rectangle's four
-edge functions (Pineda, SIGGRAPH 1988) give each row a conservative span
-of columns, widened past float64 rounding, and a band evaluates every
-pixel of the union of its rows' spans densely, so its temporaries stay in
-cache.  On those pixels the kernel computes the same float64 expressions
-on the same operands in the same order as a full per-pixel grid would:
+The kernel's cost follows the pixels it writes.  A draw may be given a
+region, a list of disjoint rects, and then runs on each rect of it only;
+the footprint, the rotation and the lookups or spans below are made once
+per draw.  An axis-aligned draw separates into one row lookup and one
+column lookup over its box, which each rect slices.  A rotated draw walks
+each rect in bands of rows, each of about image.STRIP_PX pixels
+(`image._strip_rows`).  The rectangle's four edge functions (Pineda,
+SIGGRAPH 1988) give each row of the box a conservative span of columns,
+widened past float64 rounding; a rect cuts each of its rows' spans to its
+columns, and a band evaluates every pixel of the union of its rows' cut
+spans densely, so its temporaries stay in cache.  On those pixels the
+kernel computes the same float64 expressions on the same operands in the
+same order as a full per-pixel grid would:
 
     px = x + 0.5 - cx,  py = y + 0.5 - cy
     lx = px*cos + py*sin + sw/2,  ly = -px*sin + py*cos + sh/2
@@ -38,9 +42,11 @@ index need only be in bounds, which take(mode="clip") makes it.  A band
 copies its texels when all it gathered have alpha 255 and blends them
 otherwise.  Texels gathered for outside pixels may tip that choice, but
 blending at alpha 255 gives floor(t * 1.0 + d * 0.0 + 0.5) = t, the
-texel, so the choice never changes a pixel.  A draw may be clipped to a
-rectangle: inside it every pixel gets the same expressions, outside it
-nothing is written.
+texel, so the choice never changes a pixel.  Each pixel's expressions
+depend only on its own row and column, not on the rect or band it falls
+in, so inside a region every pixel gets the same expressions as without
+one, and outside it nothing is written.  The rects are disjoint, so no
+pixel is blended twice.
 
 The paint pass hides photos behind opaque ones by tiles, and that too is
 exact.  `covered_tiles` counts a tile as covered only when its four
@@ -52,19 +58,17 @@ the footprint in exact arithmetic; float64 rounding of either evaluation
 is far below the margin, so draw_photo's `inside` test passes on every
 pixel of a covered tile.  An opaque draw therefore overwrites each such
 pixel with a texel of alpha 255, and nothing drawn before it there shows.
+The argument holds tile by tile, so a draw beneath may leave out any
+covered tile: its region is made of the tiles not yet covered, and each
+of its rects is a union of whole tiles.
 
 The frame is an opaque RasterImage, so texels and frame pixels share one
 layout: both are read and written through packed uint32 views, one 4-byte
 element per pixel.
 
-A draw whose clipped box holds at least PARALLEL_DRAW_PX pixels runs in
-row strips of it (`image._row_strips`), possibly on another thread; a
-smaller one is one pass.  A strip has the rows of one band, so a large
-draw runs the same bands either way.  Strips are disjoint, each pixel gets
-the same expressions as in one pass, and draw_photo returns only when
-every strip is done.  Nothing is cached between calls and nothing is
-shared but the frame's disjoint rows, so draws into different frames may
-run at once from any threads.
+A draw runs in one pass on the calling thread.  Nothing is cached
+between calls and nothing is shared but the frame, so draws into
+different frames may run at once from any threads.
 """
 
 from __future__ import annotations
@@ -75,18 +79,9 @@ import numpy as np
 
 from .effects import apply_chain, chain_output_size, lowers_alpha
 from .geometry import Rect, outward_bbox
-from .image import RasterImage, _row_strips, _strip_rows
+from .image import RasterImage, _strip_rows
 from .photo import EmptyCropError, PhotoObject, display_size, source_rect
 from .viewport import ScreenSpec, to_screen
-
-# Draws smaller than this run in one pass on the calling thread, as they did
-# before strips.  Such a draw takes a few milliseconds, about what a pool
-# thread that wakes late or loses its CPU mid-strip holds the caller up by,
-# so on two threads a frame built of such draws (a drag's damage boxes are
-# up to 0.75 Mpx) followed the other CPU's load.  In strips on the caller
-# alone it was faster on average, but its speed swung from run to run with
-# the host, where the one-pass kernel's did not.
-PARALLEL_DRAW_PX = 2 ** 20
 
 # Packed texels whose alpha byte is 255; the mask is built from bytes so it
 # holds on either byte order.
@@ -133,7 +128,8 @@ def prepare_content(photo: PhotoObject, source: RasterImage) -> RasterImage:
     """Crop the source and run the effect chain: the photo's texture."""
     rect = crop_rect(photo, source)
     cropped = RasterImage.from_array(source.array[rect.y:rect.y2, rect.x:rect.x2])
-    return apply_chain(cropped, photo.effects)
+    # The crop is already a copy, so an empty chain needs no second one.
+    return apply_chain(cropped, photo.effects) if photo.effects else cropped
 
 
 def is_opaque(photo: PhotoObject, source: RasterImage) -> bool:
@@ -224,39 +220,25 @@ def covered_tiles(photo: PhotoObject, screen: ScreenSpec, xs: np.ndarray,
 
 
 def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
-               screen: ScreenSpec, clip: Rect | None = None) -> None:
+               screen: ScreenSpec, region=None) -> None:
     """Composite prepared content onto the frame at the photo's transform.
 
-    Pixels outside the rotated footprint, and outside `clip` when one is
-    given, are untouched; a pixel inside both is written exactly as by an
-    unclipped draw.  The clipped box is drawn in one pass on the calling
-    thread when it is smaller than PARALLEL_DRAW_PX, else in row strips.
+    `region`, when given, is a sequence of disjoint Rects.  Pixels outside
+    the rotated footprint, and outside every rect of the region, are
+    untouched; a pixel inside both is written exactly as by a draw without
+    a region.  The footprint, the rotation and the axis lookups or per-row
+    spans are made once per draw; the kernel then runs on each rect.
     """
     cx, cy, sw, sh, bbox = footprint(photo, screen)
-    frame_rect = Rect(0, 0, frame.width, frame.height)
-    clip = bbox.intersect(frame_rect if clip is None else clip.intersect(frame_rect))
-    if clip.is_empty():
+    box = bbox.intersect(Rect(0, 0, frame.width, frame.height))
+    if box.is_empty():
         return
+    rects = [box] if region is None else [rect.intersect(box) for rect in region]
     cos_t, sin_t = _rotation(photo)
-    axis = None
     if cos_t == 1.0 and sin_t == 0.0:
-        # Axis-aligned: the pixels inside are one block, and the texel
-        # lookup separates into one column and one row lookup per draw.
-        x0, sx = _axis_lookup(clip.x, clip.w, cx, sw, content.width)
-        y0, sy = _axis_lookup(clip.y, clip.h, cy, sh, content.height)
-        clip = Rect(clip.x + x0, clip.y + y0, len(sx), len(sy))
-        if clip.is_empty():
-            return
-        axis = sy, sx
-
-    def strip(r0: int, r1: int) -> None:
-        _draw_clipped(frame, content, Rect(clip.x, clip.y + r0, clip.w, r1 - r0),
-                      cx, cy, sw, sh, cos_t, sin_t, axis and (axis[0][r0:r1], axis[1]))
-
-    if clip.w * clip.h < PARALLEL_DRAW_PX:
-        strip(0, clip.h)
+        _draw_axis(frame, content, box, rects, cx, cy, sw, sh)
     else:
-        _row_strips(clip.h, clip.w, strip)
+        _draw_rotated(frame, content, box, rects, cx, cy, sw, sh, cos_t, sin_t)
 
 
 def _axis_lookup(start: int, n: int, c: float, s: float, size: int):
@@ -272,68 +254,88 @@ def _axis_lookup(start: int, n: int, c: float, s: float, size: int):
     return int(inside[0]), (lv / s * size).astype(np.intp)
 
 
-def _draw_clipped(frame: Frame, content: RasterImage, clip: Rect, cx: float, cy: float,
-                  sw: float, sh: float, cos_t: float, sin_t: float, axis=None) -> None:
-    """draw_photo's kernel on one non-empty clip inside the frame and the
-    photo's box, given the photo's footprint and rotation.  `axis` is
-    (row, column) texel lookups of an axis-aligned draw whose every clip
-    pixel lies inside."""
-    cw, ch = content.width, content.height
-    texels = content.packed
-    pixels = frame.packed
+def _draw_axis(frame: Frame, content: RasterImage, box: Rect, rects, cx: float, cy: float,
+               sw: float, sh: float) -> None:
+    """An axis-aligned draw on the rects inside its box: the pixels inside
+    the footprint are one block, and the texel lookup separates into one
+    column and one row lookup over the box, sliced per rect."""
+    x0, sx = _axis_lookup(box.x, box.w, cx, sw, content.width)
+    y0, sy = _axis_lookup(box.y, box.h, cy, sh, content.height)
+    block = Rect(box.x + x0, box.y + y0, len(sx), len(sy))
+    texels, pixels = content.packed, frame.packed
+    for rect in rects:
+        rect = rect.intersect(block)
+        if rect.is_empty():
+            continue
+        rows = sy[rect.y - block.y:rect.y2 - block.y]
+        cols = sx[rect.x - block.x:rect.x2 - block.x]
+        _composite(pixels, (slice(rect.y, rect.y2), slice(rect.x, rect.x2)),
+                   texels.take(rows, axis=0).take(cols, axis=1))
 
-    if axis is not None:
-        sy, sx = axis
-        block = (slice(clip.y, clip.y2), slice(clip.x, clip.x2))
-        _composite(pixels, block, texels.take(sy, axis=0).take(sx, axis=1))
-        return
+
+def _draw_rotated(frame: Frame, content: RasterImage, box: Rect, rects, cx: float, cy: float,
+                  sw: float, sh: float, cos_t: float, sin_t: float) -> None:
+    """A rotated draw on the rects inside its box, given the photo's
+    footprint and rotation: per-row spans and per-row and per-column
+    products over the box, then bands of rows on each rect."""
+    cw = content.width
+    texels = content.packed.reshape(-1)
+    pixels = frame.packed
 
     # Conservative per-row spans from the four edges.  For the row's pixel
     # centres t = x + 0.5 - cx, lx and ly are linear in t; solve each edge
     # inequality for t with a slack far above float64 rounding, then widen
     # by a pixel on each side.  The inside test below decides every pixel.
-    py = np.arange(clip.y, clip.y2, dtype=np.float64) + 0.5 - cy
+    py = np.arange(box.y, box.y2, dtype=np.float64) + 0.5 - cy
     py_sin, py_cos = py * sin_t, py * cos_t
     eps = _slack(cx, cy, sw, sh, frame.width, frame.height)
     u_lo, u_hi = _edge_span(cos_t, py_sin + sw / 2.0, sw, eps)
     v_lo, v_hi = _edge_span(-sin_t, py_cos + sh / 2.0, sh, eps)
-    t0 = clip.x + 0.5 - cx
-    x0 = np.clip(np.floor(np.maximum(u_lo, v_lo) - t0) - 1.0, 0, clip.w).astype(np.intp)
-    x1 = np.clip(np.ceil(np.minimum(u_hi, v_hi) - t0) + 2.0, 0, clip.w).astype(np.intp)
-    # A row without a span widens no band.
-    empty = x0 >= x1
-    x0[empty], x1[empty] = clip.w, 0
-
-    # Each band of rows evaluates the full-grid expressions densely on the
-    # union of its rows' spans: a column's products and a row's products
-    # are formed once, then added in the grid's order.
-    px = np.arange(clip.x, clip.x2) + 0.5 - cx
+    t0 = box.x + 0.5 - cx
+    x0 = np.clip(np.floor(np.maximum(u_lo, v_lo) - t0) - 1.0, 0, box.w).astype(np.intp)
+    x1 = np.clip(np.ceil(np.minimum(u_hi, v_hi) - t0) + 2.0, 0, box.w).astype(np.intp)
+    px = np.arange(box.x, box.x2) + 0.5 - cx
     col_cos, col_sin = px * cos_t, -px * sin_t
-    rows = _strip_rows(clip.w)
-    starts = np.arange(0, clip.h, rows)
-    for r0, c0, c1 in zip(starts.tolist(), np.minimum.reduceat(x0, starts).tolist(),
-                          np.maximum.reduceat(x1, starts).tolist()):
-        if c0 >= c1:
-            continue
-        r1 = min(r0 + rows, clip.h)
-        lx = np.add(col_cos[c0:c1], py_sin[r0:r1, None])
-        lx += sw / 2.0
-        ly = np.add(col_sin[c0:c1], py_cos[r0:r1, None])
-        ly += sh / 2.0
-        inside = (lx >= 0) & (lx < sw) & (ly >= 0) & (ly < sh)
 
-        # Texel index floor(l / s * size).  On an inside pixel it is in
-        # 0..size-1 without a clamp (see the module docstring); an outside
-        # pixel's index is any, and take's clip keeps it in bounds.
-        for v, s, size in ((lx, sw, cw), (ly, sh, ch)):
-            v /= s
-            v *= size
-        sx, sy = lx.astype(np.intp), ly.astype(np.intp)
-        sy *= cw
-        sy += sx
-        got = texels.reshape(-1).take(sy, mode="clip")
-        dst = pixels[clip.y + r0:clip.y + r1, clip.x + c0:clip.x + c1]
-        if _all_opaque(got):
-            np.copyto(dst, got, where=inside)
-        else:
-            _composite(dst, inside, got[inside])
+    for rect in rects:
+        if rect.is_empty():
+            continue
+        # Each row's span cut to the rect; a row without a span there
+        # widens no band.
+        r0, r1 = rect.y - box.y, rect.y2 - box.y
+        lo = np.maximum(x0[r0:r1], rect.x - box.x)
+        hi = np.minimum(x1[r0:r1], rect.x2 - box.x)
+        empty = lo >= hi
+        lo[empty], hi[empty] = box.w, 0
+        # Each band of rows evaluates the full-grid expressions densely on
+        # the union of its rows' spans: a column's products and a row's
+        # products are formed once, then added in the grid's order.
+        rows = _strip_rows(rect.w)
+        starts = np.arange(0, r1 - r0, rows)
+        for b0, c0, c1 in zip((starts + r0).tolist(), np.minimum.reduceat(lo, starts).tolist(),
+                              np.maximum.reduceat(hi, starts).tolist()):
+            if c0 >= c1:
+                continue
+            b1 = min(b0 + rows, r1)
+            lx = np.add(col_cos[c0:c1], py_sin[b0:b1, None])
+            lx += sw / 2.0
+            ly = np.add(col_sin[c0:c1], py_cos[b0:b1, None])
+            ly += sh / 2.0
+            inside = (lx >= 0) & (lx < sw) & (ly >= 0) & (ly < sh)
+
+            # Texel index floor(l / s * size).  On an inside pixel it is in
+            # 0..size-1 without a clamp (see the module docstring); an
+            # outside pixel's index is any, and take's clip keeps it in
+            # bounds.
+            for v, s, size in ((lx, sw, cw), (ly, sh, content.height)):
+                v /= s
+                v *= size
+            sx, sy = lx.astype(np.intp), ly.astype(np.intp)
+            sy *= cw
+            sy += sx
+            got = texels.take(sy, mode="clip")
+            dst = pixels[box.y + b0:box.y + b1, box.x + c0:box.x + c1]
+            if _all_opaque(got):
+                np.copyto(dst, got, where=inside)
+            else:
+                _composite(dst, inside, got[inside])

@@ -199,9 +199,9 @@ def _content(nprng, alpha, photo, cw, ch, screen, clip):
        alpha=st.sampled_from(["opaque", "any", "translucent where unsampled"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_banded_draw_equals_span_draw(n, case, alpha, seed):
-    """n None: a draw below PARALLEL_DRAW_PX is one kernel call over many
-    bands.  n 1 or 2: every draw is cut into strips of one band each, on
-    one or two threads."""
+    """The clip is a region of one rect.  A draw is one pass on the calling
+    thread whatever the worker count: n None leaves it as the host has it,
+    n 1 or 2 sets it to one or two."""
     photo, (cw, ch), screen, clip = case
     nprng = np.random.default_rng(seed)
     content = _content(nprng, alpha, photo, cw, ch, screen, clip)
@@ -210,7 +210,7 @@ def test_banded_draw_equals_span_draw(n, case, alpha, seed):
     got = want.copy()
     span_draw_photo(want, photo, content, screen, clip)
     with workers(n) if n else nullcontext():
-        draw_photo(got, photo, content, screen, clip)
+        draw_photo(got, photo, content, screen, None if clip is None else [clip])
     assert got == want, (photo, clip)
 
 

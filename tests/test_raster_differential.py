@@ -196,7 +196,7 @@ def test_clipped_draw_is_the_full_draw_inside_the_clip(block):
         full.rgb[:] = background
         clipped = full.copy()
         draw_photo(full, photo, content, screen)
-        draw_photo(clipped, photo, content, screen, clip)
+        draw_photo(clipped, photo, content, screen, [clip])
         inside = np.zeros((screen.height, screen.width), dtype=bool)
         inside[max(y0, 0):max(y1, 0), max(x0, 0):max(x1, 0)] = True
         assert np.array_equal(clipped.rgb[inside], full.rgb[inside]), f"seed {seed}: {clip}"

@@ -6,7 +6,9 @@ they stood before pixel work ran in row strips, and `FLOAT_FNS` (from
 per-pixel adapter runs, which no kind but sepia still runs per pixel.
 They are test-only oracles, as `mgrid_draw_photo` is for draws.
 Properties run with one worker and with two, on shapes at strip edges;
-every generator is derandomized.
+every generator is derandomized.  Draws no longer run in strips: they
+are drawn here on a region of strip-high rects, and are one pass on the
+calling thread whatever the worker count.
 """
 
 import hashlib
@@ -27,7 +29,8 @@ from scrapbook import image as image_mod
 from scrapbook import raster
 from scrapbook.backends import BackendKind, render_full
 from scrapbook.effects import EffectKind, apply_effect
-from scrapbook.image import STRIP_PX, RasterImage, _row_strips
+from scrapbook.geometry import Rect
+from scrapbook.image import STRIP_PX, RasterImage, _row_strips, _strip_rows
 from scrapbook.photo import PhotoObject
 from scrapbook.raster import Frame, draw_photo
 from scrapbook.scene import STANDARD_VIEWPORT
@@ -42,10 +45,8 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 @contextmanager
 def workers(n):
-    """Run the strip kernels on n threads, whatever the CPUs, and cut
-    draws of any size into strips."""
-    with mock.patch.object(image_mod, "_WORKERS", n), \
-            mock.patch.object(raster, "PARALLEL_DRAW_PX", 0):
+    """Run the strip kernels on n threads, whatever the CPUs."""
+    with mock.patch.object(image_mod, "_WORKERS", n):
         yield
 
 
@@ -144,7 +145,13 @@ def test_table_kinds_equal_their_float_function_on_every_value(spec):
     assert apply_effect(image, spec) == want
 
 
-# --- draws in many strips against the mgrid oracle ------------------------
+# --- draws on a region of many strips against the mgrid oracle ------------
+
+def strip_region(width, height):
+    """The rects of a width x height frame's row strips, as a region."""
+    rows = _strip_rows(width)
+    return [Rect(0, r0, width, min(rows, height - r0)) for r0 in range(0, height, rows)]
+
 
 def _content(nprng, w, h, alpha):
     arr = nprng.integers(0, 256, (h, w, 4), dtype=np.uint8)
@@ -178,14 +185,14 @@ def test_draw_in_many_strips_equals_mgrid_draw(n, data):
     got = want.copy()
     mgrid_draw_photo(want, photo, content, screen)
     with workers(n):
-        draw_photo(got, photo, content, screen)
+        draw_photo(got, photo, content, screen, strip_region(fw, fh))
     assert got == want, photo
 
 
 def test_translucent_strips_mix_copy_and_blend():
     """A photo whose top rows are opaque and bottom rows translucent: with
-    the clip cut into strips, some strips take the exact copy and some the
-    blend, and the frame still equals the one-pass mgrid draw."""
+    the draw's region cut into strips, some strips take the exact copy and
+    some the blend, and the frame still equals the one-pass mgrid draw."""
     nprng = np.random.default_rng(5)
     content = _content(nprng, 40, 60, "top half opaque")
     screen = ScreenSpec.identity(800, 600)
@@ -199,9 +206,8 @@ def test_translucent_strips_mix_copy_and_blend():
         paths = []
         all_opaque = raster._all_opaque
         with mock.patch.object(raster, "_all_opaque",
-                               lambda texels: paths.append(bool(all_opaque(texels))) or paths[-1]), \
-                mock.patch.object(raster, "PARALLEL_DRAW_PX", 0):
-            draw_photo(got, photo, content, screen)
+                               lambda texels: paths.append(bool(all_opaque(texels))) or paths[-1]):
+            draw_photo(got, photo, content, screen, strip_region(800, 600))
         assert got == want, angle
         assert set(paths) == {True, False}, angle
 
@@ -254,24 +260,23 @@ def test_single_worker_or_single_strip_runs_inline_in_order():
         assert seen == [(r, r + 1, threading.get_ident()) for r in range(height)]
 
 
-def test_only_draws_of_at_least_parallel_draw_px_run_in_strips():
-    """A draw of fewer than PARALLEL_DRAW_PX pixels, the size of a drag's
-    damage boxes, is one kernel pass on the caller and hands nothing to
-    the pool thread; a larger one is cut into strips and does.  The
-    content covers the whole frame, so the clip is side x side pixels.
-    With submit stubbed out the caller runs every strip itself."""
+def test_a_draw_of_any_size_hands_nothing_to_the_pool_thread():
+    """A draw, small as a drag's damage box or larger than 2**20 pixels,
+    axis-aligned or rotated, is one kernel pass on the caller and hands
+    nothing to the pool thread.  The content covers the whole frame, so
+    the box is side x side pixels."""
     content = random_image(7, 60, 40)
-    for side, strips in ((1000, False), (1100, True)):
-        assert (side * side >= raster.PARALLEL_DRAW_PX) == strips
-        photo = PhotoObject(id="p", source="s", source_size=(60, 40), scale=side / 20.0,
-                            angle=0.0, center=(side / 2.0, side / 2.0))
-        pool = mock.Mock()
-        with mock.patch.object(image_mod, "_WORKERS", 2), \
-                mock.patch.object(image_mod, "_POOL", pool), \
-                mock.patch.object(raster, "_draw_clipped", wraps=raster._draw_clipped) as kernel:
-            draw_photo(Frame(side, side), photo, content, ScreenSpec.identity(side, side))
-        assert pool.submit.called == strips, side
-        assert (kernel.call_count > 1) == strips, side
+    for side in (1000, 1100):
+        for angle, name in ((0.0, "_draw_axis"), (30.0, "_draw_rotated")):
+            photo = PhotoObject(id="p", source="s", source_size=(60, 40), scale=side / 20.0,
+                                angle=angle, center=(side / 2.0, side / 2.0))
+            pool = mock.Mock()
+            with mock.patch.object(image_mod, "_WORKERS", 2), \
+                    mock.patch.object(image_mod, "_POOL", pool), \
+                    mock.patch.object(raster, name, wraps=getattr(raster, name)) as kernel:
+                draw_photo(Frame(side, side), photo, content, ScreenSpec.identity(side, side))
+            assert not pool.submit.called, (side, angle)
+            assert kernel.call_count == 1, (side, angle)
 
 
 def test_strips_cover_the_rows_once():
