@@ -18,11 +18,15 @@ uncovered tiles as a short list of disjoint rects, one per run of
 uncovered tiles in a tile row, with identical neighbouring tile rows
 merged.  A tile counts as covered only where the rasterizer provably
 writes every pixel of it (see `raster`), so frames are bit-identical to
-drawing every photo in full.  Every strategy runs the same pixel code:
+drawing every photo in full.  Each kept photo is also prepared only in
+part: its prepare step is given a window, the bounding rect of the
+content texels its region samples, and runs the chain on that window
+mapped back through it, so its effects and any routed request cover only
+that window.  Every strategy runs the same pixel code:
 an `end` copies the session's static layer and repaints only the box at
 rest, through the same pass.  Strategies differ only in their capability
 tables and in what they are charged, and the charges below stay those of
-drawing every photo.
+drawing every photo and running every chain on its whole crop.
 
 Work accounting is analytic and deterministic: one work unit is one pixel
 written, where a photo draw is charged as its outward-rounded screen
@@ -54,12 +58,12 @@ from typing import Callable
 
 import numpy as np
 
-from .effects import EffectKind
+from .effects import EffectKind, chain_output_size
 from .geometry import Rect
 from .image import RasterImage
 from .photo import PhotoObject, effect_pixels, move_to
 from .raster import (Frame, covered_tiles, crop_rect, draw_photo, footprint, is_opaque,
-                     prepare_content)
+                     prepare_content, sample_window, windowed)
 from .scene import SceneDocument
 from .viewport import ScreenSpec
 
@@ -135,7 +139,7 @@ def report(units: int, throughput: float = DEFAULT_THROUGHPUT, frames: int = 1) 
 def screen_bbox(photo: PhotoObject, screen: ScreenSpec, center=None) -> Rect:
     """Outward-rounded screen box of the photo, optionally at an
     overridden centre: the pixels one draw may touch."""
-    return footprint(photo, screen, center)[4]
+    return footprint(photo, screen, center).box
 
 
 def draw_units(photo: PhotoObject, screen: ScreenSpec, center=None) -> int:
@@ -218,17 +222,18 @@ def _region(opened: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list[Rect]:
 
 
 def _visible(placed, area: Rect, screen: ScreenSpec):
-    """The photos that show in `area`, back-to-front, each with the region
-    its draw needs: the rects of its tiles not yet covered by an opaque
-    photo above it (see _region), cut to its box.  A photo whose tiles are
-    all covered is left out.
+    """The photos that show in `area`, back-to-front, each as (photo,
+    source, footprint, region) with the region its draw needs: the rects of
+    its tiles not yet covered by an opaque photo above it (see _region), cut
+    to its box.  `placed` holds (photo, source, footprint) back-to-front.  A
+    photo whose tiles are all covered is left out.
     """
     xs = np.minimum(np.arange(area.x, area.x2 + TILE, TILE), area.x2)
     ys = np.minimum(np.arange(area.y, area.y2 + TILE, TILE), area.y2)
     covered = np.zeros((len(ys) - 1, len(xs) - 1), dtype=bool)
     kept = []
-    for photo, source, box in reversed(placed):
-        box = box.intersect(area)
+    for photo, source, fp in reversed(placed):
+        box = fp.box.intersect(area)
         if box.is_empty():
             continue
         c0, c1 = (box.x - area.x) // TILE, -(-(box.x2 - area.x) // TILE)
@@ -237,10 +242,10 @@ def _visible(placed, area: Rect, screen: ScreenSpec):
         if under.all():
             continue
         tile_xs, tile_ys = xs[c0:c1 + 1], ys[r0:r1 + 1]
-        kept.append((photo, source, _region(~under, np.clip(tile_xs, box.x, box.x2),
-                                            np.clip(tile_ys, box.y, box.y2))))
+        kept.append((photo, source, fp, _region(~under, np.clip(tile_xs, box.x, box.x2),
+                                                np.clip(tile_ys, box.y, box.y2))))
         if is_opaque(photo, source):
-            under |= covered_tiles(photo, screen, tile_xs, tile_ys)
+            under |= covered_tiles(photo, screen, tile_xs, tile_ys, fp)
     return kept[::-1]
 
 
@@ -254,7 +259,12 @@ def _paint(photos, sources: SourceResolver, screen: ScreenSpec,
 
     Only what can be seen is drawn: a photo hidden under opaque photos in
     the painted area is neither prepared nor drawn, and each drawn photo is
-    drawn in one call on its region, the tiles where it may show.  Every
+    drawn in one call on its region, the tiles where it may show.  Its
+    prepare step runs within `raster.windowed(window)`, where the window is
+    the bounding rect of the content texels that its region samples
+    (raster.sample_window), so only those texels are made; a photo whose
+    region writes no pixel is neither prepared nor drawn.  Each photo's
+    footprint is made once and serves its culling, window and draw.  Every
     source is still resolved and every crop and size checked,
     back-to-front, so a hidden photo fails exactly as a drawn one does.
     """
@@ -262,7 +272,7 @@ def _paint(photos, sources: SourceResolver, screen: ScreenSpec,
     for photo in photos:
         source = sources(photo.source)
         crop_rect(photo, source)
-        placed.append((photo, source, screen_bbox(photo, screen)))
+        placed.append((photo, source, footprint(photo, screen)))
     if frame is None:
         frame = Frame(screen.width, screen.height)
     area = Rect(0, 0, screen.width, screen.height)
@@ -270,8 +280,15 @@ def _paint(photos, sources: SourceResolver, screen: ScreenSpec,
         area = area.intersect(damage)
         frame.array[area.y:area.y2, area.x:area.x2] = 255
     prepare = prepare or prepare_content
-    for photo, source, region in _visible(placed, area, screen):
-        draw_photo(frame, photo, prepare(photo, source), screen, region)
+    for photo, source, fp, region in _visible(placed, area, screen):
+        rect = crop_rect(photo, source)
+        size = chain_output_size(rect.w, rect.h, photo.effects)
+        window = sample_window(photo, screen, region, *size, fp)
+        if window.is_empty():
+            continue
+        with windowed(window):
+            content = prepare(photo, source)
+        draw_photo(frame, photo, content, screen, region, fp)
     return frame
 
 

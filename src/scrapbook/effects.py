@@ -28,13 +28,29 @@ Sepia still runs `rgb @ _SEPIA.T` in float64 per pixel, so its bytes rest
 on how BLAS evaluates that product.  OpenBLAS's Haswell kernel gives the
 fused chain fma(b, s2, fma(g, s1, r*s0)) on a strip; the plain
 left-to-right sum differs on 751 of the 2**24 colours after quantizing.
-Sepia's bytes hold only where BLAS fuses the same way.
+Sepia's bytes hold only where BLAS fuses the same way.  An image one
+column wide is a stack of 1x3 products, which takes another path and
+differs on 287 of those colours, so a window never narrows sepia's input
+to one column where the image has two.
 
 Each kind is one row of `_KINDS`: its apply function, its parameter schema
 (a check per name plus the JSON form where it differs), its growth per
-side, its alpha map and whether it can lower alpha.  Validation, JSON,
-size accounting, the failover's alpha and the paint pass's occlusion test
-all read that row.
+side, its alpha map, whether it can lower alpha, and its window map.
+Validation, JSON, size accounting, the failover's alpha, the paint pass's
+occlusion test and windowed prepares all read that row.
+
+A window map says what a kind reads to make one window of its output, so
+that a chain can run on only the part of an image a draw samples
+(`chain_window`, `run_window`).  The kinds that map each pixel on its own
+read the window itself; a 3x3 convolution reads a one-pixel halo of real
+neighbours, clamped only at the image edge, and the halo is cut off after
+it; the flips read the mirrored window; a border reads the window moved by
+its width and clipped to its input, and a window wholly inside the border
+reads nothing; redeye reads the window with its region moved into it.  Each
+step's output window then equals the same window of the whole-image step,
+whether it runs here or, as the same spec on the same window image,
+through the failover service; the service's alpha map is applied to the
+window image the service saw, before the cut.
 """
 
 from __future__ import annotations
@@ -496,24 +512,78 @@ def _redeye(image, params):
     return RasterImage._adopt(out)
 
 
+# --- window maps: what a kind reads to make one window of its output -------
+#
+# window(params, out, w, h) takes a window `out` of the kind's output on a
+# w x h input and gives (src, params, x, y): the window `src` of the input
+# it reads, the params it runs with on the image of that window, and where
+# `out` starts, at (x, y), in the result of that run.
+
+def _same_window(params, out, w, h):
+    """Kinds that map each pixel on its own read the window itself."""
+    return out, params, 0, 0
+
+
+def _halo_window(params, out, w, h):
+    """A 3x3 convolution reads one more pixel on each side, clamped only at
+    the image edge: inside the window every pixel sees its real neighbours,
+    and the halo, whose own edge is clamped, is cut off."""
+    src = Rect(out.x - 1, out.y - 1, out.w + 2, out.h + 2).intersect(Rect(0, 0, w, h))
+    return src, params, out.x - src.x, out.y - src.y
+
+
+def _sepia_window(params, out, w, h):
+    """Sepia reads at least two columns where its input has them: on a
+    one-column image BLAS takes another path (see the module docstring)."""
+    if out.w > 1 or w < 2:
+        return out, params, 0, 0
+    x = min(out.x, w - 2)
+    return Rect(x, out.y, 2, out.h), params, out.x - x, 0
+
+
+def _flip_h_window(params, out, w, h):
+    return Rect(w - out.x2, out.y, out.w, out.h), params, 0, 0
+
+
+def _flip_v_window(params, out, w, h):
+    return Rect(out.x, h - out.y2, out.w, out.h), params, 0, 0
+
+
+def _border_window(params, out, w, h):
+    """The border's output pixel (x, y) is the input's (x - width, y - width)
+    where that lies in the input, and the colour elsewhere.  A window wholly
+    inside the border reads nothing."""
+    width = params["width"]
+    src = Rect(out.x - width, out.y - width, out.w, out.h).intersect(Rect(0, 0, w, h))
+    return src, params, out.x - src.x, out.y - src.y
+
+
+def _redeye_window(params, out, w, h):
+    """Redeye reads the window, with its region moved into the window's
+    coordinates."""
+    r = params["region"]
+    return out, {"region": Rect(r.x - out.x, r.y - out.y, r.w, r.h)}, 0, 0
+
+
 class _Kind(NamedTuple):
     """One registry row: the apply function, the parameter schema, the
     pixels `grow` adds on each side of the image (only border adds any),
-    the output alpha plane as a function of the input one, and whether the
+    the output alpha plane as a function of the input one, whether the
     kind can lower an alpha of 255 (only opacity below 1 and a border whose
-    colour is translucent can)."""
+    colour is translucent can), and its window map (see above)."""
 
     apply: Callable[[RasterImage, dict], RasterImage]
     params: dict = {}
     grow: Callable[[dict], int] = lambda params: 0
     alpha: Callable[[np.ndarray, dict], np.ndarray] = lambda alpha, params: alpha
     lowers_alpha: Callable[[dict], bool] = lambda params: False
+    window: Callable = _same_window
 
 
 _KINDS = {
     EffectKind.GRAYSCALE: _Kind(_per_pixel(_luma(lambda p: _GREY))),
     EffectKind.INVERT: _Kind(_per_pixel(_table(lambda v, p: 255.0 - v))),
-    EffectKind.SEPIA: _Kind(_per_pixel(_sepia)),
+    EffectKind.SEPIA: _Kind(_per_pixel(_sepia), window=_sepia_window),
     EffectKind.BRIGHTNESS: _Kind(_per_pixel(_table(lambda v, p: v + p["delta"])),
                                  {"delta": _number(-255, 255)}),
     EffectKind.CONTRAST: _Kind(_per_pixel(_table(lambda v, p: (v - 128.0) * p["factor"] + 128.0)),
@@ -524,21 +594,25 @@ _KINDS = {
     EffectKind.DESATURATE: _Kind(_per_pixel(_luma(lambda p: _GREY))),  # same as grayscale
     EffectKind.BLACKWHITE: _Kind(_per_pixel(_luma(lambda p: np.where(_GREY >= p["threshold"], 255, 0))),
                                  {"threshold": _number(0, 255)}),
-    EffectKind.BLUR: _Kind(lambda image, p: convolve3x3(image, BLUR_KERNEL)),
-    EffectKind.SHARPEN: _Kind(lambda image, p: convolve3x3(image, SHARPEN_KERNEL)),
-    EffectKind.EMBOSS: _Kind(lambda image, p: convolve3x3(image, EMBOSS_KERNEL)),
+    EffectKind.BLUR: _Kind(lambda image, p: convolve3x3(image, BLUR_KERNEL),
+                           window=_halo_window),
+    EffectKind.SHARPEN: _Kind(lambda image, p: convolve3x3(image, SHARPEN_KERNEL),
+                              window=_halo_window),
+    EffectKind.EMBOSS: _Kind(lambda image, p: convolve3x3(image, EMBOSS_KERNEL),
+                             window=_halo_window),
     EffectKind.OPACITY: _Kind(_opacity, {"alpha": _number(0, 1)}, alpha=_opacity_alpha,
                               lowers_alpha=lambda p: p["alpha"] < 1),
     EffectKind.FLIP_H: _Kind(lambda image, p: RasterImage.from_array(image.array[:, ::-1]),
-                             alpha=lambda alpha, p: alpha[:, ::-1]),
+                             alpha=lambda alpha, p: alpha[:, ::-1], window=_flip_h_window),
     EffectKind.FLIP_V: _Kind(lambda image, p: RasterImage.from_array(image.array[::-1, :]),
-                             alpha=lambda alpha, p: alpha[::-1, :]),
+                             alpha=lambda alpha, p: alpha[::-1, :], window=_flip_v_window),
     EffectKind.BORDER: _Kind(_border, {"width": _WIDTH, "color": _COLOR},
                              grow=lambda p: p["width"],
                              alpha=lambda alpha, p: np.pad(alpha, p["width"],
                                                            constant_values=p["color"][3]),
-                             lowers_alpha=lambda p: p["color"][3] < 255),
-    EffectKind.REDEYE: _Kind(_redeye, {"region": _REGION}),
+                             lowers_alpha=lambda p: p["color"][3] < 255,
+                             window=_border_window),
+    EffectKind.REDEYE: _Kind(_redeye, {"region": _REGION}, window=_redeye_window),
 }
 
 
@@ -573,6 +647,53 @@ def apply_chain(image: RasterImage, effects) -> RasterImage:
     for spec in effects:
         out = apply_effect(out, spec)
     return image.copy() if out is image else out
+
+
+class Step(NamedTuple):
+    """One step of a chain run on a window: `spec` as it runs on the image
+    of its input window, and the window `out` of its output that it keeps,
+    at (x, y) in the result of that run."""
+
+    spec: EffectSpec
+    out: Rect
+    x: int
+    y: int
+
+
+def chain_window(width: int, height: int, effects, window: Rect) -> tuple[Rect, list[Step]]:
+    """How a chain run on a width x height image makes only `window` of its
+    output: the window of the input to read, and the steps to run on it in
+    order.  The window is mapped back one step at a time, last step first,
+    through each kind's window map.  A step that reads nothing, a window
+    wholly inside a border, ends the walk: no step before it runs."""
+    sizes = [(width, height), *chain_sizes(width, height, effects)]
+    steps = []
+    for spec, (w, h) in zip(effects[::-1], sizes[-2::-1]):
+        src, params, x, y = _KINDS[spec.kind].window(spec.params, window, w, h)
+        if params is not spec.params:
+            spec = EffectSpec(spec.kind, params)
+        steps.append(Step(spec, window, x, y))
+        window = src
+        if window.is_empty():
+            break
+    return window, steps[::-1]
+
+
+def run_window(image: RasterImage | None, steps, apply=None) -> RasterImage:
+    """Run the steps of chain_window on `image`, the input window they read
+    (None where they read nothing), through apply(image, spec), by default
+    apply_effect as named at call time.  Each step's result is cut to its
+    window when it covers more."""
+    for step in steps:
+        out = step.out
+        if image is None:  # only a border reads nothing: its window is its colour
+            image = RasterImage.filled(out.w, out.h, step.spec.params["color"])
+            continue
+        image = (apply or apply_effect)(image, step.spec)
+        if (step.x, step.y, out.w, out.h) != (0, 0, image.width, image.height):
+            image = RasterImage.from_array(
+                image.array[step.y:step.y + out.h, step.x:step.x + out.w])
+    return image
 
 
 def chain_sizes(width: int, height: int, effects):

@@ -62,6 +62,28 @@ The argument holds tile by tile, so a draw beneath may leave out any
 covered tile: its region is made of the tiles not yet covered, and each
 of its rects is a union of whole tiles.
 
+A draw need not have its whole content.  `sample_window` bounds the
+texels a draw on a region may sample, and the paint pass has the photo's
+prepare step make only those (see `prepare_content`).  The draw samples
+such a ContentWindow at an integer offset: the texel formula keeps the
+whole content's size, and the window's origin is subtracted from each
+index, only when the window is not the whole content.  The bound is exact
+in the sense that it never misses a texel.  texel = floor(l / s * size),
+computed as the draw computes it, is monotone in l, and l is affine in
+the pixel centre:
+- An axis-aligned draw slices the same column and row lookups per rect
+  as the draw does; they are monotone, so each rect samples exactly the
+  texels between the lookups of its first and last column and row.
+- A rotated draw writes only pixels of a rect's rows inside each row's
+  span (see below), and along a row l lies between its values at the
+  span's two ends.  Those ends are evaluated with the draw's own
+  expressions; any other pixel's l may differ from that range only by
+  float64 rounding, far below the spans' slack eps.  So the bound takes
+  the texels of the ends' l widened by eps, then one more texel on each
+  side, and clamps them into the content.
+The window may hold texels no pixel samples, never too few, so every
+pixel reads the texel it would read from the whole content.
+
 The frame is an opaque RasterImage, so texels and frame pixels share one
 layout: both are read and written through packed uint32 views, one 4-byte
 element per pixel.
@@ -73,11 +95,14 @@ different frames may run at once from any threads.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .effects import apply_chain, chain_output_size, lowers_alpha
+from .effects import chain_output_size, chain_window, lowers_alpha, run_window
 from .geometry import Rect, outward_bbox
 from .image import RasterImage, _strip_rows
 from .photo import EmptyCropError, PhotoObject, display_size, source_rect
@@ -124,12 +149,57 @@ def crop_rect(photo: PhotoObject, source: RasterImage) -> Rect:
     return rect
 
 
-def prepare_content(photo: PhotoObject, source: RasterImage) -> RasterImage:
-    """Crop the source and run the effect chain: the photo's texture."""
+class ContentWindow(RasterImage):
+    """Part of a photo's content: its pixels are the texels of `rect` of a
+    content of `size`, (width, height)."""
+
+    __slots__ = ("rect", "size")
+
+    @classmethod
+    def of(cls, image: RasterImage, rect: Rect, size) -> "ContentWindow":
+        window = cls._adopt(image.array)
+        window.rect, window.size = rect, size
+        return window
+
+    def copy(self) -> "ContentWindow":
+        return self.of(RasterImage.from_array(self.array), self.rect, self.size)
+
+
+# The window of a photo's content that the paint pass asks for.  A prepare
+# step is called as prepare(photo, source), so the window is set beside the
+# call, by `windowed`, rather than passed in it.
+_WINDOW: contextvars.ContextVar = contextvars.ContextVar("window", default=None)
+
+
+@contextlib.contextmanager
+def windowed(window: Rect):
+    """Within the block, prepare_content makes only `window` of a content."""
+    token = _WINDOW.set(window)
+    try:
+        yield
+    finally:
+        _WINDOW.reset(token)
+
+
+def prepare_content(photo: PhotoObject, source: RasterImage, apply=None) -> RasterImage:
+    """Crop the source and run the effect chain, each step through
+    apply(image, spec) (apply_effect by default): the photo's texture.
+
+    Within `windowed(window)` only the texels of the window are made, as a
+    ContentWindow, unless the window is the whole content: the chain runs
+    on the window mapped back through it (effects.chain_window), and its
+    texels equal the same window of the whole content.
+    """
     rect = crop_rect(photo, source)
-    cropped = RasterImage.from_array(source.array[rect.y:rect.y2, rect.x:rect.x2])
+    size = chain_output_size(rect.w, rect.h, photo.effects)
+    whole = Rect(0, 0, *size)
+    window = _WINDOW.get() or whole
+    src, steps = chain_window(rect.w, rect.h, photo.effects, window)
     # The crop is already a copy, so an empty chain needs no second one.
-    return apply_chain(cropped, photo.effects) if photo.effects else cropped
+    crop = None if src.is_empty() else RasterImage.from_array(
+        source.array[rect.y + src.y:rect.y + src.y2, rect.x + src.x:rect.x + src.x2])
+    content = run_window(crop, steps, apply)
+    return content if window == whole else ContentWindow.of(content, window, size)
 
 
 def is_opaque(photo: PhotoObject, source: RasterImage) -> bool:
@@ -186,28 +256,39 @@ def _rotation(photo: PhotoObject) -> tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
-def footprint(photo: PhotoObject, screen: ScreenSpec, center=None):
+class Footprint(NamedTuple):
     """Where a draw lands: screen centre (cx, cy), scaled size (sw, sh) and
-    the outward-rounded box of the rotated rectangle, optionally at an
-    overridden centre.  The box bounds every pixel draw_photo writes and is
-    what the cost model charges for one draw."""
+    the outward-rounded box of the rotated rectangle."""
+
+    cx: float
+    cy: float
+    sw: float
+    sh: float
+    box: Rect
+
+
+def footprint(photo: PhotoObject, screen: ScreenSpec, center=None) -> Footprint:
+    """The photo's Footprint, optionally at an overridden centre.  The box
+    bounds every pixel draw_photo writes and is what the cost model charges
+    for one draw."""
     dw, dh = display_size(photo)
     scale = float(screen.scale)
     cx, cy = to_screen(screen, photo.center if center is None else center)
     cx, cy, sw, sh = float(cx), float(cy), dw * scale, dh * scale
-    return cx, cy, sw, sh, outward_bbox(cx, cy, sw, sh, photo.angle)
+    return Footprint(cx, cy, sw, sh, outward_bbox(cx, cy, sw, sh, photo.angle))
 
 
 def covered_tiles(photo: PhotoObject, screen: ScreenSpec, xs: np.ndarray,
-                  ys: np.ndarray) -> np.ndarray:
+                  ys: np.ndarray, fp: Footprint | None = None) -> np.ndarray:
     """Which tiles draw_photo writes in full: tile (i, j) holds the columns
     xs[j] to xs[j+1] and the rows ys[i] to ys[i+1], every tile non-empty.
+    `fp` is the photo's footprint, made here when not given.
 
     A tile is covered when its four corner pixel centres pass the inside
     test with a margin far above float64 rounding (see the module
     docstring); the answer errs only towards not covered.
     """
-    cx, cy, sw, sh, _ = footprint(photo, screen)
+    cx, cy, sw, sh, _ = fp or footprint(photo, screen)
     cos_t, sin_t = _rotation(photo)
     margin = _slack(cx, cy, sw, sh, screen.width, screen.height)
     # Centres of each tile's first and last column and row.
@@ -219,26 +300,100 @@ def covered_tiles(photo: PhotoObject, screen: ScreenSpec, xs: np.ndarray,
     return ok.reshape(len(ys) - 1, 2, len(xs) - 1, 2).all(axis=(1, 3))
 
 
+def _draw_rects(fp: Footprint, region, width: int, height: int) -> tuple[Rect, list[Rect]]:
+    """A draw's box on a width x height frame and its region cut to it."""
+    box = fp.box.intersect(Rect(0, 0, width, height))
+    return box, [box] if region is None else [rect.intersect(box) for rect in region]
+
+
+def sample_window(photo: PhotoObject, screen: ScreenSpec, region, width: int, height: int,
+                  fp: Footprint | None = None) -> Rect:
+    """The texels of a width x height content that draw_photo on the screen
+    with `region` may sample, as their bounding rect; empty when the draw
+    writes nothing.  `fp` is the photo's footprint, made here when not
+    given.  The rect may hold more texels than are sampled, never fewer
+    (see the module docstring)."""
+    cx, cy, sw, sh, _ = fp = fp or footprint(photo, screen)
+    box, rects = _draw_rects(fp, region, screen.width, screen.height)
+    cos_t, sin_t = _rotation(photo)
+    bounds = []
+    if cos_t == 1.0 and sin_t == 0.0:
+        # The draw's own lookups: each rect samples the texels its first
+        # and last column and row look up.
+        x0, sx = _axis_lookup(box.x, box.w, cx, sw, width)
+        y0, sy = _axis_lookup(box.y, box.h, cy, sh, height)
+        block = Rect(box.x + x0, box.y + y0, len(sx), len(sy))
+        for rect in rects:
+            rect = rect.intersect(block)
+            if not rect.is_empty():
+                bounds.append((sx[rect.x - block.x], sy[rect.y - block.y],
+                               sx[rect.x2 - 1 - block.x], sy[rect.y2 - 1 - block.y]))
+    else:
+        # l is affine in the pixel centre, so along each row of a rect it
+        # lies between its values at the two ends of the row's span, formed
+        # as the draw forms them, and every other pixel's l is within eps
+        # of that range.
+        eps = _slack(cx, cy, sw, sh, screen.width, screen.height)
+        x0, x1, py_sin, py_cos, col_cos, col_sin = _row_spans(fp, box, cos_t, sin_t, eps)
+        for rect in rects:
+            if rect.is_empty():
+                continue
+            lo, hi = _cut_spans(x0, x1, rect, box)
+            rows = np.flatnonzero(lo < hi)
+            if not len(rows):
+                continue
+            cols = np.concatenate([lo[rows], hi[rows] - 1])
+            rows = np.tile(rows + (rect.y - box.y), 2)
+            lx = col_cos[cols] + py_sin[rows] + sw / 2.0
+            ly = col_sin[cols] + py_cos[rows] + sh / 2.0
+            bounds.append([_texel(lx.min() - eps, sw, width) - 1,
+                           _texel(ly.min() - eps, sh, height) - 1,
+                           _texel(lx.max() + eps, sw, width) + 1,
+                           _texel(ly.max() + eps, sh, height) + 1])
+    if not bounds:
+        return Rect(0, 0, 0, 0)
+    top = [width - 1, height - 1] * 2
+    x0, y0, _, _ = np.clip(np.min(bounds, axis=0), 0, top).tolist()
+    _, _, x1, y1 = np.clip(np.max(bounds, axis=0), 0, top).tolist()
+    return Rect(int(x0), int(y0), int(x1 - x0) + 1, int(y1 - y0) + 1)
+
+
+def _texel(v: float, s: float, size: int) -> int:
+    """floor(v / s * size), the texel index of local coordinate v, kept
+    within one texel of the content."""
+    return math.floor(min(max(v / s * size, -1.0), size + 1.0))
+
+
 def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
-               screen: ScreenSpec, region=None) -> None:
+               screen: ScreenSpec, region=None, fp: Footprint | None = None) -> None:
     """Composite prepared content onto the frame at the photo's transform.
 
     `region`, when given, is a sequence of disjoint Rects.  Pixels outside
     the rotated footprint, and outside every rect of the region, are
     untouched; a pixel inside both is written exactly as by a draw without
-    a region.  The footprint, the rotation and the axis lookups or per-row
-    spans are made once per draw; the kernel then runs on each rect.
+    a region.  `content` may be a ContentWindow that holds every texel the
+    draw samples (sample_window): it is sampled at its window's offset.
+    `fp` is the photo's footprint, made here when not given.  The
+    rotation and the axis lookups or per-row spans are made once per draw;
+    the kernel then runs on each rect.
     """
-    cx, cy, sw, sh, bbox = footprint(photo, screen)
-    box = bbox.intersect(Rect(0, 0, frame.width, frame.height))
+    fp = fp or footprint(photo, screen)
+    box, rects = _draw_rects(fp, region, frame.width, frame.height)
     if box.is_empty():
         return
-    rects = [box] if region is None else [rect.intersect(box) for rect in region]
     cos_t, sin_t = _rotation(photo)
     if cos_t == 1.0 and sin_t == 0.0:
-        _draw_axis(frame, content, box, rects, cx, cy, sw, sh)
+        _draw_axis(frame, content, box, rects, fp)
     else:
-        _draw_rotated(frame, content, box, rects, cx, cy, sw, sh, cos_t, sin_t)
+        _draw_rotated(frame, content, box, rects, fp, cos_t, sin_t)
+
+
+def _extent(content: RasterImage):
+    """The whole content's (width, height) and the window's origin, None
+    when `content` is the whole content."""
+    if isinstance(content, ContentWindow):
+        return content.size, (content.rect.x, content.rect.y)
+    return (content.width, content.height), None
 
 
 def _axis_lookup(start: int, n: int, c: float, s: float, size: int):
@@ -254,14 +409,16 @@ def _axis_lookup(start: int, n: int, c: float, s: float, size: int):
     return int(inside[0]), (lv / s * size).astype(np.intp)
 
 
-def _draw_axis(frame: Frame, content: RasterImage, box: Rect, rects, cx: float, cy: float,
-               sw: float, sh: float) -> None:
+def _draw_axis(frame: Frame, content: RasterImage, box: Rect, rects, fp: Footprint) -> None:
     """An axis-aligned draw on the rects inside its box: the pixels inside
     the footprint are one block, and the texel lookup separates into one
     column and one row lookup over the box, sliced per rect."""
-    x0, sx = _axis_lookup(box.x, box.w, cx, sw, content.width)
-    y0, sy = _axis_lookup(box.y, box.h, cy, sh, content.height)
+    (width, height), origin = _extent(content)
+    x0, sx = _axis_lookup(box.x, box.w, fp.cx, fp.sw, width)
+    y0, sy = _axis_lookup(box.y, box.h, fp.cy, fp.sh, height)
     block = Rect(box.x + x0, box.y + y0, len(sx), len(sy))
+    if origin is not None:
+        sx, sy = sx - origin[0], sy - origin[1]
     texels, pixels = content.packed, frame.packed
     for rect in rects:
         rect = rect.intersect(block)
@@ -273,40 +430,58 @@ def _draw_axis(frame: Frame, content: RasterImage, box: Rect, rects, cx: float, 
                    texels.take(rows, axis=0).take(cols, axis=1))
 
 
-def _draw_rotated(frame: Frame, content: RasterImage, box: Rect, rects, cx: float, cy: float,
-                  sw: float, sh: float, cos_t: float, sin_t: float) -> None:
-    """A rotated draw on the rects inside its box, given the photo's
-    footprint and rotation: per-row spans and per-row and per-column
-    products over the box, then bands of rows on each rect."""
-    cw = content.width
-    texels = content.packed.reshape(-1)
-    pixels = frame.packed
+def _row_spans(fp: Footprint, box: Rect, cos_t: float, sin_t: float, eps: float):
+    """What a rotated draw forms once over its box: each row's conservative
+    span of columns [x0, x1), relative to the box, and the products
+    py*sin and py*cos per row and px*cos and -px*sin per column.
 
-    # Conservative per-row spans from the four edges.  For the row's pixel
-    # centres t = x + 0.5 - cx, lx and ly are linear in t; solve each edge
-    # inequality for t with a slack far above float64 rounding, then widen
-    # by a pixel on each side.  The inside test below decides every pixel.
+    For the row's pixel centres t = x + 0.5 - cx, lx and ly are linear in
+    t; each edge inequality is solved for t with the slack `eps`, far above
+    float64 rounding, and the span widened by a pixel on each side.  The
+    inside test decides every pixel.
+    """
+    cx, cy, sw, sh, _ = fp
     py = np.arange(box.y, box.y2, dtype=np.float64) + 0.5 - cy
     py_sin, py_cos = py * sin_t, py * cos_t
-    eps = _slack(cx, cy, sw, sh, frame.width, frame.height)
     u_lo, u_hi = _edge_span(cos_t, py_sin + sw / 2.0, sw, eps)
     v_lo, v_hi = _edge_span(-sin_t, py_cos + sh / 2.0, sh, eps)
     t0 = box.x + 0.5 - cx
     x0 = np.clip(np.floor(np.maximum(u_lo, v_lo) - t0) - 1.0, 0, box.w).astype(np.intp)
     x1 = np.clip(np.ceil(np.minimum(u_hi, v_hi) - t0) + 2.0, 0, box.w).astype(np.intp)
     px = np.arange(box.x, box.x2) + 0.5 - cx
-    col_cos, col_sin = px * cos_t, -px * sin_t
+    return x0, x1, py_sin, py_cos, px * cos_t, -px * sin_t
+
+
+def _cut_spans(x0: np.ndarray, x1: np.ndarray, rect: Rect, box: Rect):
+    """The spans of a rect's rows cut to its columns, relative to the box;
+    a row without a span there gets lo = box.w and hi = 0, so it widens no
+    band."""
+    r0, r1 = rect.y - box.y, rect.y2 - box.y
+    lo = np.maximum(x0[r0:r1], rect.x - box.x)
+    hi = np.minimum(x1[r0:r1], rect.x2 - box.x)
+    empty = lo >= hi
+    lo[empty], hi[empty] = box.w, 0
+    return lo, hi
+
+
+def _draw_rotated(frame: Frame, content: RasterImage, box: Rect, rects, fp: Footprint,
+                  cos_t: float, sin_t: float) -> None:
+    """A rotated draw on the rects inside its box, given the photo's
+    footprint and rotation: per-row spans and per-row and per-column
+    products over the box, then bands of rows on each rect."""
+    cx, cy, sw, sh, _ = fp
+    (width, height), origin = _extent(content)
+    cw = content.width
+    texels = content.packed.reshape(-1)
+    pixels = frame.packed
+    eps = _slack(cx, cy, sw, sh, frame.width, frame.height)
+    x0, x1, py_sin, py_cos, col_cos, col_sin = _row_spans(fp, box, cos_t, sin_t, eps)
 
     for rect in rects:
         if rect.is_empty():
             continue
-        # Each row's span cut to the rect; a row without a span there
-        # widens no band.
         r0, r1 = rect.y - box.y, rect.y2 - box.y
-        lo = np.maximum(x0[r0:r1], rect.x - box.x)
-        hi = np.minimum(x1[r0:r1], rect.x2 - box.x)
-        empty = lo >= hi
-        lo[empty], hi[empty] = box.w, 0
+        lo, hi = _cut_spans(x0, x1, rect, box)
         # Each band of rows evaluates the full-grid expressions densely on
         # the union of its rows' spans: a column's products and a row's
         # products are formed once, then added in the grid's order.
@@ -327,10 +502,13 @@ def _draw_rotated(frame: Frame, content: RasterImage, box: Rect, rects, cx: floa
             # 0..size-1 without a clamp (see the module docstring); an
             # outside pixel's index is any, and take's clip keeps it in
             # bounds.
-            for v, s, size in ((lx, sw, cw), (ly, sh, content.height)):
+            for v, s, size in ((lx, sw, width), (ly, sh, height)):
                 v /= s
                 v *= size
             sx, sy = lx.astype(np.intp), ly.astype(np.intp)
+            if origin is not None:
+                sx -= origin[0]
+                sy -= origin[1]
             sy *= cw
             sy += sx
             got = texels.take(sy, mode="clip")

@@ -2,8 +2,12 @@
 
 When a backend lacks an effect, the effect runs "server-side" through one
 JSON switch in place of the local step, as each photo is drawn, so every
-feature works on every backend.  The same envelope is spoken in-process
-(LocalClient) and over HTTP POST /api (HttpClient against serve()).
+feature works on every backend.  A drawn photo's chain runs only on the
+window its draw samples (see `raster.prepare_content`), so a routed step
+sends only its input window, with a redeye region moved into it; the
+request's format is that of a whole-image request.  The same envelope is
+spoken in-process (LocalClient) and over HTTP POST /api (HttpClient
+against serve()).
 
 Request envelope:   {"op": str, "args": object, "image": str}
     `image` is a base64 binary-PPM payload, or "store:<key>" to reference
@@ -34,7 +38,6 @@ import binascii
 import json
 import urllib.error
 import urllib.request
-from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -229,9 +232,11 @@ def resolve_scene(backend: BackendKind, scene, client=None,
                   throughput: float = DEFAULT_THROUGHPUT) -> tuple[PrepareStep, CostReport]:
     """The failover of a render: (prepare, cost).  `prepare` is the step
     render_full takes; it crops a photo and runs its chain one step at a
-    time through route_effect, so only drawn photos reach the service.
-    `cost` charges every chain the backend cannot run, drawn or not: a
-    local step its output area as work, a routed step one remote latency.
+    time through route_effect, so only drawn photos reach the service, and
+    within `raster.windowed(window)` each step runs on its window only.
+    `cost` charges every chain the backend cannot run, drawn or not, on
+    its whole crop: a local step its output area as work, a routed step
+    one remote latency.
     """
     local_pixels = 0
     remote_calls = 0
@@ -246,10 +251,8 @@ def resolve_scene(backend: BackendKind, scene, client=None,
                 remote_calls += 1
 
     def prepare(photo: PhotoObject, source: RasterImage) -> RasterImage:
-        result = raster.prepare_content(replace(photo, effects=()), source)
-        for spec in photo.effects:
-            result = route_effect(backend, result, spec, client)
-        return result
+        return raster.prepare_content(
+            photo, source, lambda image, spec: route_effect(backend, image, spec, client))
 
     cost = (report(local_pixels, throughput, frames=0)
             + CostReport(0, remote_calls * REMOTE_LATENCY_MS))

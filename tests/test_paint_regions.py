@@ -24,7 +24,7 @@ from scrapbook.backends import TILE, BackendKind, _paint, _region, _visible, ren
 from scrapbook.geometry import Rect
 from scrapbook.image import RasterImage
 from scrapbook.photo import PhotoObject
-from scrapbook.raster import Frame, covered_tiles, crop_rect, is_opaque
+from scrapbook.raster import Frame, covered_tiles, crop_rect, footprint, is_opaque
 from scrapbook.scene import SceneDocument
 from scrapbook.viewport import ScreenSpec, to_standard
 
@@ -43,8 +43,8 @@ def bbox_visible(placed, area, screen):
     ys = np.minimum(np.arange(area.y, area.y2 + TILE, TILE), area.y2)
     covered = np.zeros((len(ys) - 1, len(xs) - 1), dtype=bool)
     kept = []
-    for photo, source, box in reversed(placed):
-        box = box.intersect(area)
+    for photo, source, fp in reversed(placed):
+        box = fp.box.intersect(area)
         if box.is_empty():
             continue
         c0, c1 = (box.x - area.x) // TILE, -(-(box.x2 - area.x) // TILE)
@@ -56,7 +56,7 @@ def bbox_visible(placed, area, screen):
         open_cols = np.flatnonzero(~under.all(axis=0))
         x0, x1 = xs[c0 + open_cols[0]], xs[c0 + open_cols[-1] + 1]
         y0, y1 = ys[r0 + open_rows[0]], ys[r0 + open_rows[-1] + 1]
-        kept.append((photo, source, Rect(int(x0), int(y0), int(x1 - x0), int(y1 - y0))))
+        kept.append((photo, source, fp, Rect(int(x0), int(y0), int(x1 - x0), int(y1 - y0))))
         if is_opaque(photo, source):
             under |= covered_tiles(photo, screen, xs[c0:c1 + 1], ys[r0:r1 + 1])
     return kept[::-1]
@@ -66,7 +66,7 @@ def bbox_paint(photos, sources, screen, frame=None, damage=None):
     """The paint pass with each draw clipped to the bounding rect of its
     uncovered tiles: a region of that one rect."""
     def visible(placed, area, screen):
-        return [(photo, source, [clip]) for photo, source, clip in
+        return [(photo, source, fp, [clip]) for photo, source, fp, clip in
                 bbox_visible(placed, area, screen)]
 
     with mock.patch.object(backends, "_visible", visible):
@@ -178,8 +178,8 @@ def region_cases(photos, sources, screen, area):
     for photo in photos:
         source = sources[photo.source]
         crop_rect(photo, source)
-        placed.append((photo, source, backends.screen_bbox(photo, screen)))
-    return [(photo, region) for photo, _, region in _visible(placed, area, screen)]
+        placed.append((photo, source, footprint(photo, screen)))
+    return [(photo, region) for photo, _, _, region in _visible(placed, area, screen)]
 
 
 def regions_by_id(photos, sources, screen, area):
@@ -320,9 +320,9 @@ def test_paint_calls_draw_photo_once_per_drawn_photo_by_its_module_name():
     calls = []
     draw = backends.draw_photo
 
-    def logged_draw(frame, photo, content, screen, region):
+    def logged_draw(frame, photo, content, screen, region, *rest):
         calls.append((photo.id, len(region)))
-        draw(frame, photo, content, screen, region)
+        draw(frame, photo, content, screen, region, *rest)
 
     with mock.patch.object(backends, "draw_photo", logged_draw):
         frame, _ = render_full(BackendKind.RASTER, scene, sources.__getitem__, screen)

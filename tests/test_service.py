@@ -378,6 +378,61 @@ def test_http_route_transparency(server, rng):
         apply_effect(img, fx.sepia())
 
 
+class RecordingClient(LocalClient):
+    """LocalClient that keeps every request envelope."""
+
+    def __init__(self):
+        super().__init__()
+        self.requests = []
+
+    def call(self, envelope):
+        self.requests.append(envelope)
+        return super().call(envelope)
+
+
+def off_screen_routed_scene():
+    """A 40x30 photo whose chain legacy must route (sharpen, redeye) and
+    finish locally (invert), with most of it off a 30x20 screen: its draw
+    samples the texels (15, 10) to (39, 29)."""
+    source = RasterImage.from_array(
+        np.random.default_rng(5).integers(0, 256, (30, 40, 4), dtype=np.uint8))
+    source.array[:, :, 0] |= 0x80  # red enough for redeye to act
+    scene = SceneDocument()
+    scene.add_photo(PhotoObject(id="p", source="s", source_size=(40, 30), center=(5.0, 5.0),
+                                effects=(fx.sharpen(), fx.redeye(Rect(10, 5, 20, 20)),
+                                         fx.invert())))
+    return scene, {"s": source}, ScreenSpec.identity(30, 20)
+
+
+def test_http_renders_a_windowed_routed_chain_as_the_local_client(server):
+    from scrapbook.backends import render_full
+    scene, sources, screen = off_screen_routed_scene()
+    frames = []
+    for backend, client in ((BackendKind.LEGACY, HttpClient(base_url(server))),
+                            (BackendKind.LEGACY, LocalClient()), (BackendKind.RASTER, None)):
+        prepare, _ = resolve_scene(backend, scene, client)
+        frames.append(render_full(backend, scene, sources.__getitem__, screen,
+                                  prepare=prepare)[0])
+    assert frames[0] == frames[1] == frames[2]
+
+
+def test_a_routed_request_carries_only_the_window():
+    """The routed sharpen gets the window with its one-pixel halo, clamped
+    at the crop's edge, and the routed redeye the window with its region
+    moved into it; both in the same envelope as a whole-crop request."""
+    from scrapbook.backends import render_full
+    scene, sources, screen = off_screen_routed_scene()
+    client = RecordingClient()
+    prepare, _ = resolve_scene(BackendKind.LEGACY, scene, client)
+    render_full(BackendKind.LEGACY, scene, sources.__getitem__, screen, prepare=prepare)
+    sharpen, redeye = client.requests
+    window = RasterImage.from_array(sources["s"].array[9:30, 14:40])
+    assert sharpen == make_apply_request(fx.sharpen(), window)
+    assert len(sharpen["image"]) < len(encode_image(sources["s"]))
+    assert redeye["args"]["effect"] == {"kind": "redeye", "region": [-5, -5, 20, 20]}
+    assert decode_image(redeye["image"]).width * decode_image(redeye["image"]).height == 25 * 20
+
+
 def test_unreachable_service_retries_then_raises():
     client = HttpClient("http://127.0.0.1:9", attempts=2, timeout=0.2)
     with pytest.raises(ServiceUnreachableError):
