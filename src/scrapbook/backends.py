@@ -62,8 +62,8 @@ from .effects import EffectKind, chain_output_size
 from .geometry import Rect
 from .image import RasterImage
 from .photo import PhotoObject, effect_pixels, move_to
-from .raster import (Frame, covered_tiles, crop_rect, draw_photo, footprint, is_opaque,
-                     prepare_content, sample_window, windowed)
+from .raster import (Frame, covered_tiles, crop_rect, draw_photo, footprint, is_opaque, plan,
+                     prepare_content)
 from .scene import SceneDocument
 from .viewport import ScreenSpec
 
@@ -162,8 +162,13 @@ def update_units(backend: BackendKind, photo: PhotoObject, screen: ScreenSpec,
                  old_center, new_center) -> int:
     """A drag frame: the box left and the box entered; raster also
     re-applies the chain."""
-    units = (draw_units(photo, screen, center=old_center)
-             + draw_units(photo, screen, center=new_center))
+    return _frame_units(backend, photo, screen_bbox(photo, screen, old_center),
+                        screen_bbox(photo, screen, new_center))
+
+
+def _frame_units(backend: BackendKind, photo: PhotoObject, left: Rect, entered: Rect) -> int:
+    """update_units from the boxes left and entered."""
+    units = left.area + entered.area
     if not backend.retained:
         units += effect_pixels(photo)
     return units
@@ -191,7 +196,7 @@ def attr_change_units(backend: BackendKind, scene: SceneDocument, screen: Screen
 # --- pixel-producing entry points ---
 
 SourceResolver = Callable[[str], RasterImage]
-PrepareStep = Callable[[PhotoObject, RasterImage], RasterImage]
+PrepareStep = Callable[[PhotoObject, RasterImage, Rect], RasterImage]
 
 
 def _check_chains(backend: BackendKind, scene: SceneDocument) -> None:
@@ -259,14 +264,16 @@ def _paint(photos, sources: SourceResolver, screen: ScreenSpec,
 
     Only what can be seen is drawn: a photo hidden under opaque photos in
     the painted area is neither prepared nor drawn, and each drawn photo is
-    drawn in one call on its region, the tiles where it may show.  Its
-    prepare step runs within `raster.windowed(window)`, where the window is
-    the bounding rect of the content texels that its region samples
-    (raster.sample_window), so only those texels are made; a photo whose
-    region writes no pixel is neither prepared nor drawn.  Each photo's
-    footprint is made once and serves its culling, window and draw.  Every
-    source is still resolved and every crop and size checked,
-    back-to-front, so a hidden photo fails exactly as a drawn one does.
+    drawn in one call on its region, the tiles where it may show.  Each
+    drawn photo is planned once (raster.plan): its box, its region cut to
+    the box, its lookups and its window, the bounding rect of the content
+    texels that its region samples.  Its prepare step is called as
+    prepare(photo, source, window), so only those texels are made, and
+    its draw reads the same plan; a photo whose region writes no pixel is
+    neither prepared nor drawn.  Each photo's footprint is made once and
+    serves its culling, plan and draw.  Every source is still resolved and
+    every crop and size checked, back-to-front, so a hidden photo fails
+    exactly as a drawn one does.
     """
     placed = []
     for photo in photos:
@@ -281,14 +288,14 @@ def _paint(photos, sources: SourceResolver, screen: ScreenSpec,
         frame.array[area.y:area.y2, area.x:area.x2] = 255
     prepare = prepare or prepare_content
     for photo, source, fp, region in _visible(placed, area, screen):
-        rect = crop_rect(photo, source)
-        size = chain_output_size(rect.w, rect.h, photo.effects)
-        window = sample_window(photo, screen, region, *size, fp)
+        crop = crop_rect(photo, source)
+        drawn = plan(photo, screen, region, fp,
+                     chain_output_size(crop.w, crop.h, photo.effects))
+        window = drawn.window
         if window.is_empty():
             continue
-        with windowed(window):
-            content = prepare(photo, source)
-        draw_photo(frame, photo, content, screen, region, fp)
+        content = prepare(photo, source, window)
+        draw_photo(frame, photo, content, screen, region, drawn)
     return frame
 
 
@@ -328,7 +335,8 @@ class InteractionSession:
         statics = [p for p in scene.photos if p.id != photo_id]
         self._bg = _paint(statics, sources, screen)
         self._work = self._bg.copy()
-        draw_photo(self._work, self.photo, self._content, screen)
+        self._fp = footprint(self.photo, screen)
+        self._draw(self.photo)
         # Raster renders the static layer once; retained nodes just detach.
         units = 0 if backend.retained else redraw_units(backend, statics, screen)
         self.begin_cost = report(units, throughput, frames=0 if backend.retained else 1)
@@ -338,22 +346,30 @@ class InteractionSession:
         """Snapshot of the current composite: statics plus the photo on top."""
         return self._work.copy()
 
+    def _draw(self, photo: PhotoObject) -> None:
+        """Draw the content whole onto the live surface at `_fp`, the
+        photo's footprint."""
+        size = (self._content.width, self._content.height)
+        draw_photo(self._work, photo, self._content, self.screen, None,
+                   plan(photo, self.screen, None, self._fp, size))
+
     def update(self, new_center) -> tuple[Frame, CostReport]:
         """Move the interactive photo; only the damaged boxes recomposite.
 
         The returned frame is the session's live surface, valid until the
-        next session call; use frame() for a durable snapshot.
+        next session call; use frame() for a durable snapshot.  One
+        footprint is made per frame: the box entered and the draw use it,
+        and the next frame takes its box as the box left.
         """
         if self.closed:
             raise SessionError("session already ended")
-        units = update_units(self.backend, self.photo, self.screen,
-                             self.center, new_center)
-        old = screen_bbox(self.photo, self.screen, self.center).intersect(
-            Rect(0, 0, self.screen.width, self.screen.height))
+        center = (float(new_center[0]), float(new_center[1]))
+        fp = footprint(self.photo, self.screen, center)
+        units = _frame_units(self.backend, self.photo, self._fp.box, fp.box)
+        old = self._fp.box.intersect(Rect(0, 0, self.screen.width, self.screen.height))
         self._work.array[old.y:old.y2, old.x:old.x2] = self._bg.array[old.y:old.y2, old.x:old.x2]
-        self.center = (float(new_center[0]), float(new_center[1]))
-        draw_photo(self._work, move_to(self.photo, *self.center), self._content,
-                   self.screen)
+        self.center, self._fp = center, fp
+        self._draw(move_to(self.photo, *center))
         return self._work, report(units, self.throughput)
 
     def end(self, final_center=None) -> tuple[Frame, CostReport]:

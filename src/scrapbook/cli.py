@@ -88,8 +88,8 @@ def _backend(text: str) -> BackendKind:
 
 def _file_resolver(base: Path):
     """Source name -> image, relative to `base` unless absolute.  Each file
-    is opened once and checked from its header and length; its pixels are
-    decoded only when a draw first reads them."""
+    is opened once and checked from its header and length; a draw reads
+    only the rect of it that its window maps back to."""
     return functools.cache(lambda source: PpmFile(base / source))
 
 

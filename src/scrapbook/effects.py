@@ -24,6 +24,9 @@ table built with the same expression, or from exact integer sums:
   tables indexed by the pixel's max and min channel (see `_hsl`);
 - blur, sharpen and emboss sum whole weights in int32, which is exact
   (`Kernel3x3.accumulator`); the divide, bias and rounding stay float64.
+A table that depends on a parameter is built once per kind and value
+and kept, read-only, for the last `_CACHED_VALUES` values, so a small
+image pays for its pixels and not for its tables.
 Sepia still runs `rgb @ _SEPIA.T` in float64 per pixel, so its bytes rest
 on how BLAS evaluates that product.  OpenBLAS's Haswell kernel gives the
 fused chain fma(b, s2, fma(g, s1, r*s0)) on a strip; the plain
@@ -307,20 +310,45 @@ def _sepia(params):
     return strip
 
 
-def _table(fn):
-    """Kernel for the kinds that map each channel value on its own:
-    fn(values, params) runs once on the 256 channel values, which equals
-    quantizing fn on the float RGB planes.  A pixel's (R, G) and (B, A)
-    byte pairs are then looked up as '<u2' words in two 65,536-entry
-    tables; the second keeps A."""
+def _frozen(*tables):
+    """Cached tables are shared by every call, so they are read-only."""
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+# Parameter values whose tables each per-value cache below keeps.
+_CACHED_VALUES = 8
+
+# The channel map of each table kind, on the channel values as float64.
+_CHANNEL_MAPS = {
+    EffectKind.INVERT: lambda v, p: 255.0 - v,
+    EffectKind.BRIGHTNESS: lambda v, p: v + p["delta"],
+    EffectKind.CONTRAST: lambda v, p: (v - 128.0) * p["factor"] + 128.0,
+}
+
+
+@functools.lru_cache(maxsize=_CACHED_VALUES)
+def _pair_tables(kind: EffectKind, items: tuple):
+    """The (R, G) and (B, A) pair tables of a table kind whose params are
+    `items`: its channel map runs once on the 256 channel values, which
+    equals quantizing it on the float RGB planes, and each table holds a
+    '<u2' word per byte pair; the second keeps A."""
+    # A huge contrast factor overflows to +-inf on far channel values;
+    # the quantizer clamps that to 0 or 255, as it would per pixel.
+    with np.errstate(over="ignore"):
+        table = _quantize(_CHANNEL_MAPS[kind](np.arange(256.0), dict(items)), "<u2")
+    low = np.tile(table, 256)
+    return _frozen(low | np.repeat(table << 8, 256),
+                   low | np.arange(0, 65536, 256, dtype="<u2").repeat(256))
+
+
+def _table(kind: EffectKind):
+    """Kernel for the kinds that map each channel value on its own: a
+    pixel's (R, G) and (B, A) byte pairs are looked up as '<u2' words in
+    the kind's `_pair_tables` for its params."""
     def kernel(params):
-        # A huge contrast factor overflows to +-inf on far channel values;
-        # the quantizer clamps that to 0 or 255, as it would per pixel.
-        with np.errstate(over="ignore"):
-            table = _quantize(fn(np.arange(256.0), params), "<u2")
-        low = np.tile(table, 256)
-        rg = low | np.repeat(table << 8, 256)
-        ba = low | np.arange(0, 65536, 256, dtype="<u2").repeat(256)
+        rg, ba = _pair_tables(kind, tuple(params.items()))
 
         def strip(src, out):
             pairs, dst = src.view("<u2"), out.view("<u2")
@@ -328,13 +356,6 @@ def _table(fn):
             ba.take(pairs[..., 1], out=dst[..., 1], mode="clip")
         return strip
     return kernel
-
-
-def _frozen(*tables):
-    """Cached tables are shared by every call, so they are read-only."""
-    for table in tables:
-        table.flags.writeable = False
-    return tables
 
 
 @functools.cache
@@ -400,6 +421,20 @@ _SHIFT_X = np.array([8, 0, 16, 8, 0, 16], dtype="<u4")
 _SHIFT_ZERO = np.array([16, 16, 0, 0, 8, 8], dtype="<u4")
 
 
+@functools.lru_cache(maxsize=_CACHED_VALUES)
+def _hsl_colour_tables(factor):
+    """c = (1 - |2l - 1|) * s, m = l - c/2 and the bytes of c + m and
+    0 + m per (max, min) index, for the saturation s scaled by `factor`
+    (None leaves it): they do not depend on the hue, so every hue shares
+    the tables of None."""
+    _, light, _, sat = _hsl_tables()
+    s = sat if factor is None else np.clip(sat * factor, 0.0, 1.0)
+    c = (1.0 - np.abs(2.0 * light - 1.0)) * s
+    m = light - c / 2.0
+    return _frozen(c, m, _quantize((c + m) * 255.0, "<u4"),
+                   _quantize((0.0 + m) * 255.0, "<u4"))
+
+
 def _hsl(degrees, factor=None):
     """Kernel of hue (turn by degrees) and saturate (degrees 0, scale the
     saturation by factor) with hexagonal HSL in float64.
@@ -421,12 +456,8 @@ def _hsl(degrees, factor=None):
     turns 360 into 0.  hp % 2 is hp less the even part of its floor, exact
     by Sterbenz's lemma.
     """
-    numerator, light, divisor, sat = _hsl_tables()
-    s = sat if factor is None else np.clip(sat * factor, 0.0, 1.0)
-    c = (1.0 - np.abs(2.0 * light - 1.0)) * s
-    m = light - c / 2.0
-    c_byte = _quantize((c + m) * 255.0, "<u4")
-    zero_byte = _quantize((0.0 + m) * 255.0, "<u4")
+    numerator, _, divisor, _ = _hsl_tables()
+    c, m, c_byte, zero_byte = _hsl_colour_tables(factor)
     small = abs(degrees) <= 2.0 ** 40
 
     def strip(src, out):
@@ -582,11 +613,11 @@ class _Kind(NamedTuple):
 
 _KINDS = {
     EffectKind.GRAYSCALE: _Kind(_per_pixel(_luma(lambda p: _GREY))),
-    EffectKind.INVERT: _Kind(_per_pixel(_table(lambda v, p: 255.0 - v))),
+    EffectKind.INVERT: _Kind(_per_pixel(_table(EffectKind.INVERT))),
     EffectKind.SEPIA: _Kind(_per_pixel(_sepia), window=_sepia_window),
-    EffectKind.BRIGHTNESS: _Kind(_per_pixel(_table(lambda v, p: v + p["delta"])),
+    EffectKind.BRIGHTNESS: _Kind(_per_pixel(_table(EffectKind.BRIGHTNESS)),
                                  {"delta": _number(-255, 255)}),
-    EffectKind.CONTRAST: _Kind(_per_pixel(_table(lambda v, p: (v - 128.0) * p["factor"] + 128.0)),
+    EffectKind.CONTRAST: _Kind(_per_pixel(_table(EffectKind.CONTRAST)),
                                {"factor": _number(0)}),
     EffectKind.HUE: _Kind(_per_pixel(lambda p: _hsl(p["degrees"])), {"degrees": _number()}),
     EffectKind.SATURATE: _Kind(_per_pixel(lambda p: _hsl(0.0, p["factor"])),

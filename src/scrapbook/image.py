@@ -5,10 +5,18 @@ alpha.  P6 is the required interchange format: it is bit-exact, trivial to
 parse and carries no alpha, so saving drops alpha and loading sets it to
 255 everywhere.  Decoding and encoding each write every output byte once.
 
-`PpmFile` is a source decoded once and only when drawn: it reads a
-file's header and length when opened, and so raises every PpmError that
-decode_ppm would, and decodes through decode_ppm on the first pixel read.
-`load_ppm` decodes at once.
+A source is read by window: `RasterImage.read(x, y, w, h)` gives a fresh
+copy of one rect of its pixels, and the paint pass reads only the rect a
+drawn photo's window maps back to.  `PpmFile` is a source read from its
+file: it reads the file's header and length when opened, and so raises
+every PpmError that decode_ppm would.  Its `read` seeks to the rect's
+first row, reads only the bytes from there to the rect's last pixel and
+expands only the rect's columns, so its bytes equal a whole decode_ppm
+cut to the rect; the whole decode runs only when `array` is read.  A P6
+file carries no alpha, so a `PpmFile` is opaque by its format
+(`opaque_by_format`) and needs no scan to say so.  `load_ppm` decodes at
+once.  Sources are read-only during a render: a file or an array that
+changes under a render may give any mix of old and new pixels.
 
 Pixel kernels that would touch a large image at once run in row strips of
 about STRIP_PX pixels (`_row_strips`), on up to two threads.  Strips are
@@ -74,6 +82,10 @@ class RasterImage:
 
     __slots__ = ("width", "height", "array")
 
+    # True where the format has no alpha channel, so every pixel's alpha
+    # is 255 without a look at the pixels.
+    opaque_by_format = False
+
     def __init__(self, width: int, height: int, data: bytearray | bytes | None = None):
         if width <= 0 or height <= 0:
             raise ValueError(f"image dimensions must be positive, got {width}x{height}")
@@ -119,6 +131,11 @@ class RasterImage:
     def packed(self) -> np.ndarray:
         """Writable (h, w) uint32 view: one element per RGBA pixel."""
         return self.array.view(np.uint32)[..., 0]
+
+    def read(self, x: int, y: int, w: int, h: int) -> "RasterImage":
+        """A fresh image of the non-empty rect (x, y, w, h), which lies
+        inside this one."""
+        return RasterImage.from_array(self.array[y:y + h, x:x + w])
 
     def get_pixel(self, x: int, y: int) -> tuple[int, int, int, int]:
         return tuple(self.array[y, x].tolist())
@@ -292,22 +309,25 @@ def _read_header(fh) -> tuple[int, int, int]:
 
 
 class PpmFile(RasterImage):
-    """The image in a PPM file, decoded on first pixel access.
+    """The image in a PPM file, read by window or decoded on first access
+    to `array`.
 
     Construction reads only the header and the file's length and raises
     what decode_ppm would raise on the file's bytes, so a file whose
-    pixels are never read is checked in full but never decoded.  The
-    first read of `array` decodes the file through decode_ppm and keeps
+    pixels are never read is checked in full but never decoded.  `read`
+    reads one rect from the file (see the module docstring).  The first
+    read of `array` decodes the whole file through decode_ppm and keeps
     the pixels; later reads find them in the slot.
     """
 
-    __slots__ = ("path",)
+    __slots__ = ("path", "offset")
+    opaque_by_format = True
 
     def __init__(self, path):
         with open(path, "rb") as fh:
-            self.width, self.height, pos = _read_header(fh)
+            self.width, self.height, self.offset = _read_header(fh)
             size = os.fstat(fh.fileno()).st_size
-        _check_payload(size - pos, self.width, self.height)
+        _check_payload(size - self.offset, self.width, self.height)
         self.path = path
 
     def __getattr__(self, name: str):
@@ -318,6 +338,26 @@ class PpmFile(RasterImage):
             self.array = decode_ppm(fh.read()).array
         return self.array
 
+    def read(self, x: int, y: int, w: int, h: int) -> RasterImage:
+        """The rect's pixels as decode_ppm writes them: pixel (c, r) of the
+        rect is the 4-byte word at 3 * (r * width + c) from the rect's
+        first byte, with its high byte replaced by alpha 255.  The buffer
+        holds one spare byte past the rect's last pixel, so that pixel's
+        word stays inside it; the mask drops the byte."""
+        n = (h - 1) * self.width + w
+        buf = bytearray(3 * n + 1)
+        with open(self.path, "rb") as fh:
+            _check_payload(os.fstat(fh.fileno()).st_size - self.offset,
+                           self.width, self.height)
+            fh.seek(self.offset + 3 * (y * self.width + x))
+            fh.readinto(buf)
+        out = np.empty((h, w, 4), dtype=np.uint8)
+        words = out.view("<u4")[..., 0]
+        rgbx = np.ndarray((h, w), dtype="<u4", buffer=buf, strides=(3 * self.width, 3))
+        np.bitwise_and(rgbx, 0x00FFFFFF, out=words)
+        words |= 0xFF000000
+        return RasterImage._adopt(out)
+
 
 def encode_ppm(image: RasterImage) -> bytearray:
     """Encode to binary PPM bytes; alpha is dropped.
@@ -325,8 +365,8 @@ def encode_ppm(image: RasterImage) -> bytearray:
     Header and payload are written once into one buffer.  Each group of
     four packed little-endian RGBA pixels p0..p3 becomes three payload
     words: rgb0 + r1, gb1 + rg2 and b2 + rgb3, in runs of STRIP_PX groups
-    so the temporaries stay in cache; the pixels of a last partial
-    group are copied on their own.
+    on the strip pool (`_row_strips`), so the temporaries stay in cache;
+    the pixels of a last partial group are copied on their own.
     """
     header = b"P6\n%d %d\n255\n" % (image.width, image.height)
     n = image.width * image.height
@@ -336,11 +376,10 @@ def encode_ppm(image: RasterImage) -> bytearray:
     groups = n // 4
     pixels = image.array.reshape(-1).view("<u4")[:4 * groups].reshape(groups, 4)
     words = payload[:12 * groups].view("<u4").reshape(groups, 3)
-    shifted = np.empty(min(groups, STRIP_PX), dtype="<u4")
-    for g0 in range(0, groups, STRIP_PX):
-        p = pixels[g0:g0 + STRIP_PX]
-        w = words[g0:g0 + STRIP_PX]
-        t = shifted[:len(p)]
+
+    def run(g0: int, g1: int) -> None:
+        p, w = pixels[g0:g1], words[g0:g1]
+        t = np.empty(g1 - g0, dtype="<u4")
         np.bitwise_and(p[:, 0], 0x00FFFFFF, out=w[:, 0])
         w[:, 0] |= np.left_shift(p[:, 1], 24, out=t)
         np.right_shift(p[:, 1], 8, out=w[:, 1])
@@ -349,6 +388,9 @@ def encode_ppm(image: RasterImage) -> bytearray:
         np.right_shift(p[:, 2], 16, out=w[:, 2])
         w[:, 2] &= 0xFF
         w[:, 2] |= np.left_shift(p[:, 3], 8, out=t)
+
+    # One group a row: a strip is a run of STRIP_PX groups.
+    _row_strips(groups, 1, run)
     payload[12 * groups:] = image.array.reshape(-1, 4)[4 * groups:, :3].reshape(-1)
     return out
 

@@ -10,10 +10,13 @@ the inverse transform.  Compositing is source-over against the opaque
 frame with round-half-up channel math.
 
 The kernel's cost follows the pixels it writes.  A draw may be given a
-region, a list of disjoint rects, and then runs on each rect of it only;
-the footprint, the rotation and the lookups or spans below are made once
-per draw.  An axis-aligned draw separates into one row lookup and one
-column lookup over its box, which each rect slices.  A rotated draw walks
+region, a list of disjoint rects, and then runs on each rect of it only.
+Everything a draw needs besides the pixels is made once, by `plan`: the
+box, the region's rects cut to it, the lookups or cut spans below and the
+content window.  The paint pass makes one plan per drawn photo, which both
+the window's prepare step and the draw read.  An axis-aligned draw
+separates into one row lookup and one column lookup over its box, which
+each rect slices.  A rotated draw walks
 each rect in bands of rows, each of about image.STRIP_PX pixels
 (`image._strip_rows`).  The rectangle's four edge functions (Pineda,
 SIGGRAPH 1988) give each row of the box a conservative span of columns,
@@ -50,33 +53,44 @@ pixel is blended twice.
 
 The paint pass hides photos behind opaque ones by tiles, and that too is
 exact.  `covered_tiles` counts a tile as covered only when its four
-corner pixel centres satisfy `margin <= l <= size - margin` for both local
-coordinates, with the same margin as the spans.  l is affine in the pixel
-centre and the rotated rectangle is convex, so every pixel centre of the
-tile, a convex combination of the corners, lies at least `margin` inside
-the footprint in exact arithmetic; float64 rounding of either evaluation
-is far below the margin, so draw_photo's `inside` test passes on every
-pixel of a covered tile.  An opaque draw therefore overwrites each such
+corner pixel centres lie `margin` inside the footprint for both local
+coordinates, with twice the spans' slack as the margin.  It works per
+tile row, as scan conversion does: along a pixel row, both l are affine
+in the column, so the columns whose centres lie `margin` inside form one
+interval, the row's inset span, solved from the edge functions as the
+spans are.  A tile's corners are inside when its first and last column
+lie in the inset spans of its first and last pixel row, so each tile
+row's covered tiles are one run, read off two spans, whatever the number
+of tiles.  Solving for the span's ends rounds, but only by far less than
+the slack, so a corner found inside lies at least the slack inside in
+exact arithmetic: the answer differs from evaluating l at the corners
+with the slack as margin only towards "not covered".  l is affine in the
+pixel centre and the rotated rectangle is convex, so every pixel centre
+of a covered tile, a convex combination of the corners, lies at least the
+slack inside the footprint in exact arithmetic; float64 rounding of the
+draw's evaluation is far below it, so draw_photo's `inside` test passes
+on every pixel of a covered tile.  An opaque draw therefore overwrites each such
 pixel with a texel of alpha 255, and nothing drawn before it there shows.
 The argument holds tile by tile, so a draw beneath may leave out any
 covered tile: its region is made of the tiles not yet covered, and each
 of its rects is a union of whole tiles.
 
-A draw need not have its whole content.  `sample_window` bounds the
-texels a draw on a region may sample, and the paint pass has the photo's
-prepare step make only those (see `prepare_content`).  The draw samples
+A draw need not have its whole content.  The plan's window bounds the
+texels a draw on a region may sample, and the paint pass passes it to the
+photo's prepare step, which makes only those (see `prepare_content`) and
+reads only the source rect they map back to.  The draw samples
 such a ContentWindow at an integer offset: the texel formula keeps the
 whole content's size, and the window's origin is subtracted from each
 index, only when the window is not the whole content.  The bound is exact
 in the sense that it never misses a texel.  texel = floor(l / s * size),
 computed as the draw computes it, is monotone in l, and l is affine in
 the pixel centre:
-- An axis-aligned draw slices the same column and row lookups per rect
-  as the draw does; they are monotone, so each rect samples exactly the
-  texels between the lookups of its first and last column and row.
+- An axis-aligned draw slices the plan's column and row lookups per
+  rect; they are monotone, so the rects sample exactly the texels between
+  the lookups of their first and last columns and rows.
 - A rotated draw writes only pixels of a rect's rows inside each row's
-  span (see below), and along a row l lies between its values at the
-  span's two ends.  Those ends are evaluated with the draw's own
+  cut span, and along a row l lies between its values at the span's two
+  ends.  Those ends are evaluated with the draw's own
   expressions; any other pixel's l may differ from that range only by
   float64 rounding, far below the spans' slack eps.  So the bound takes
   the texels of the ends' l widened by eps, then one more texel on each
@@ -89,14 +103,12 @@ layout: both are read and written through packed uint32 views, one 4-byte
 element per pixel.
 
 A draw runs in one pass on the calling thread.  Nothing is cached
-between calls and nothing is shared but the frame, so draws into
-different frames may run at once from any threads.
+between calls, a plan is only read, and nothing is written but the
+frame, so draws into different frames may run at once from any threads.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from typing import NamedTuple
 
@@ -165,50 +177,36 @@ class ContentWindow(RasterImage):
         return self.of(RasterImage.from_array(self.array), self.rect, self.size)
 
 
-# The window of a photo's content that the paint pass asks for.  A prepare
-# step is called as prepare(photo, source), so the window is set beside the
-# call, by `windowed`, rather than passed in it.
-_WINDOW: contextvars.ContextVar = contextvars.ContextVar("window", default=None)
-
-
-@contextlib.contextmanager
-def windowed(window: Rect):
-    """Within the block, prepare_content makes only `window` of a content."""
-    token = _WINDOW.set(window)
-    try:
-        yield
-    finally:
-        _WINDOW.reset(token)
-
-
-def prepare_content(photo: PhotoObject, source: RasterImage, apply=None) -> RasterImage:
+def prepare_content(photo: PhotoObject, source: RasterImage, window: Rect | None = None,
+                    apply=None) -> RasterImage:
     """Crop the source and run the effect chain, each step through
     apply(image, spec) (apply_effect by default): the photo's texture.
 
-    Within `windowed(window)` only the texels of the window are made, as a
+    Given a `window` of the content, only its texels are made, as a
     ContentWindow, unless the window is the whole content: the chain runs
-    on the window mapped back through it (effects.chain_window), and its
+    on the window mapped back through it (effects.chain_window), whose
+    input rect alone is read from the source (RasterImage.read), and its
     texels equal the same window of the whole content.
     """
     rect = crop_rect(photo, source)
     size = chain_output_size(rect.w, rect.h, photo.effects)
     whole = Rect(0, 0, *size)
-    window = _WINDOW.get() or whole
+    window = whole if window is None else window
     src, steps = chain_window(rect.w, rect.h, photo.effects, window)
-    # The crop is already a copy, so an empty chain needs no second one.
-    crop = None if src.is_empty() else RasterImage.from_array(
-        source.array[rect.y + src.y:rect.y + src.y2, rect.x + src.x:rect.x + src.x2])
+    # The read is already a copy, so an empty chain needs no second one.
+    crop = None if src.is_empty() else source.read(rect.x + src.x, rect.y + src.y, src.w, src.h)
     content = run_window(crop, steps, apply)
     return content if window == whole else ContentWindow.of(content, window, size)
 
 
 def is_opaque(photo: PhotoObject, source: RasterImage) -> bool:
     """Whether the photo's prepared content has alpha 255 everywhere: its
-    crop of the source does and no step of its chain can lower alpha."""
+    crop of the source does and no step of its chain can lower alpha.  A
+    source that is opaque by its format is trusted without a scan."""
     if lowers_alpha(photo.effects):
         return False
     rect = crop_rect(photo, source)
-    return _all_opaque(source.packed[rect.y:rect.y2, rect.x:rect.x2])
+    return source.opaque_by_format or _all_opaque(source.packed[rect.y:rect.y2, rect.x:rect.x2])
 
 
 def _composite(pixels: np.ndarray, at, texels: np.ndarray) -> None:
@@ -284,116 +282,114 @@ def covered_tiles(photo: PhotoObject, screen: ScreenSpec, xs: np.ndarray,
     xs[j] to xs[j+1] and the rows ys[i] to ys[i+1], every tile non-empty.
     `fp` is the photo's footprint, made here when not given.
 
-    A tile is covered when its four corner pixel centres pass the inside
-    test with a margin far above float64 rounding (see the module
-    docstring); the answer errs only towards not covered.
+    Each tile row's covered tiles are one run: those whose first and last
+    column lie in the inset spans of the tile row's first and last pixel
+    rows (see the module docstring); the answer errs only towards not
+    covered.
     """
     cx, cy, sw, sh, _ = fp or footprint(photo, screen)
     cos_t, sin_t = _rotation(photo)
-    margin = _slack(cx, cy, sw, sh, screen.width, screen.height)
-    # Centres of each tile's first and last column and row.
-    px = np.stack([xs[:-1], xs[1:] - 1], axis=1).reshape(-1) + 0.5 - cx
-    py = np.stack([ys[:-1], ys[1:] - 1], axis=1).reshape(-1)[:, None] + 0.5 - cy
-    lx = px * cos_t + py * sin_t + sw / 2.0
-    ly = -px * sin_t + py * cos_t + sh / 2.0
-    ok = (lx >= margin) & (lx <= sw - margin) & (ly >= margin) & (ly <= sh - margin)
-    return ok.reshape(len(ys) - 1, 2, len(xs) - 1, 2).all(axis=(1, 3))
+    margin = 2.0 * _slack(cx, cy, sw, sh, screen.width, screen.height)
+    # Centres of each tile row's first and last pixel row, and where along
+    # each of them both local coordinates lie `margin` inside the photo.
+    py = np.stack([ys[:-1], ys[1:] - 1], axis=1).reshape(-1) + 0.5 - cy
+    u_lo, u_hi = _edge_span(cos_t, py * sin_t + sw / 2.0, sw, -margin)
+    v_lo, v_hi = _edge_span(-sin_t, py * cos_t + sh / 2.0, sh, -margin)
+    lo = np.maximum(u_lo, v_lo).reshape(-1, 2).max(axis=1)
+    hi = np.minimum(u_hi, v_hi).reshape(-1, 2).min(axis=1)
+    # Centres of each tile's first and last column.
+    first, last = xs[:-1] + 0.5 - cx, xs[1:] - 0.5 - cx
+    return (first >= lo[:, None]) & (last <= hi[:, None])
 
 
-def _draw_rects(fp: Footprint, region, width: int, height: int) -> tuple[Rect, list[Rect]]:
-    """A draw's box on a width x height frame and its region cut to it."""
-    box = fp.box.intersect(Rect(0, 0, width, height))
-    return box, [box] if region is None else [rect.intersect(box) for rect in region]
+class Plan(NamedTuple):
+    """A draw made once, by `plan`: the photo's footprint and rotation, its
+    box on the screen, the whole content's (width, height), the region's
+    rects cut to where the draw may write, as an (n, 4) array of x0, y0,
+    x1, y1, and the lookups the draw reads on them.
 
-
-def sample_window(photo: PhotoObject, screen: ScreenSpec, region, width: int, height: int,
-                  fp: Footprint | None = None) -> Rect:
-    """The texels of a width x height content that draw_photo on the screen
-    with `region` may sample, as their bounding rect; empty when the draw
-    writes nothing.  `fp` is the photo's footprint, made here when not
-    given.  The rect may hold more texels than are sampled, never fewer
-    (see the module docstring)."""
-    cx, cy, sw, sh, _ = fp = fp or footprint(photo, screen)
-    box, rects = _draw_rects(fp, region, screen.width, screen.height)
-    cos_t, sin_t = _rotation(photo)
-    bounds = []
-    if cos_t == 1.0 and sin_t == 0.0:
-        # The draw's own lookups: each rect samples the texels its first
-        # and last column and row look up.
-        x0, sx = _axis_lookup(box.x, box.w, cx, sw, width)
-        y0, sy = _axis_lookup(box.y, box.h, cy, sh, height)
-        block = Rect(box.x + x0, box.y + y0, len(sx), len(sy))
-        for rect in rects:
-            rect = rect.intersect(block)
-            if not rect.is_empty():
-                bounds.append((sx[rect.x - block.x], sy[rect.y - block.y],
-                               sx[rect.x2 - 1 - block.x], sy[rect.y2 - 1 - block.y]))
-    else:
-        # l is affine in the pixel centre, so along each row of a rect it
-        # lies between its values at the two ends of the row's span, formed
-        # as the draw forms them, and every other pixel's l is within eps
-        # of that range.
-        eps = _slack(cx, cy, sw, sh, screen.width, screen.height)
-        x0, x1, py_sin, py_cos, col_cos, col_sin = _row_spans(fp, box, cos_t, sin_t, eps)
-        for rect in rects:
-            if rect.is_empty():
-                continue
-            lo, hi = _cut_spans(x0, x1, rect, box)
-            rows = np.flatnonzero(lo < hi)
-            if not len(rows):
-                continue
-            cols = np.concatenate([lo[rows], hi[rows] - 1])
-            rows = np.tile(rows + (rect.y - box.y), 2)
-            lx = col_cos[cols] + py_sin[rows] + sw / 2.0
-            ly = col_sin[cols] + py_cos[rows] + sh / 2.0
-            bounds.append([_texel(lx.min() - eps, sw, width) - 1,
-                           _texel(ly.min() - eps, sh, height) - 1,
-                           _texel(lx.max() + eps, sw, width) + 1,
-                           _texel(ly.max() + eps, sh, height) + 1])
-    if not bounds:
-        return Rect(0, 0, 0, 0)
-    top = [width - 1, height - 1] * 2
-    x0, y0, _, _ = np.clip(np.min(bounds, axis=0), 0, top).tolist()
-    _, _, x1, y1 = np.clip(np.max(bounds, axis=0), 0, top).tolist()
-    return Rect(int(x0), int(y0), int(x1 - x0) + 1, int(y1 - y0) + 1)
-
-
-def _texel(v: float, s: float, size: int) -> int:
-    """floor(v / s * size), the texel index of local coordinate v, kept
-    within one texel of the content."""
-    return math.floor(min(max(v / s * size, -1.0), size + 1.0))
-
-
-def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
-               screen: ScreenSpec, region=None, fp: Footprint | None = None) -> None:
-    """Composite prepared content onto the frame at the photo's transform.
-
-    `region`, when given, is a sequence of disjoint Rects.  Pixels outside
-    the rotated footprint, and outside every rect of the region, are
-    untouched; a pixel inside both is written exactly as by a draw without
-    a region.  `content` may be a ContentWindow that holds every texel the
-    draw samples (sample_window): it is sampled at its window's offset.
-    `fp` is the photo's footprint, made here when not given.  The
-    rotation and the axis lookups or per-row spans are made once per draw;
-    the kernel then runs on each rect.
+    An axis-aligned draw's lookups are (bx, by, sx, sy): its block of
+    pixels inside the footprint starts at (bx, by), and sx and sy give the
+    texel column and row of each of its columns and rows.  A rotated draw's
+    are (rows, lo, hi, starts, eps, py_sin, py_cos, col_cos, col_sin): the
+    spans of each rect's rows cut to its columns, relative to the box, one
+    array for all rects with rect k's rows from starts[k], each entry's
+    row of the box, the slack, and the per-row and per-column products of
+    the box (see `_row_spans`).
     """
-    fp = fp or footprint(photo, screen)
-    box, rects = _draw_rects(fp, region, frame.width, frame.height)
-    if box.is_empty():
-        return
-    cos_t, sin_t = _rotation(photo)
+
+    fp: Footprint
+    rotation: tuple[float, float]
+    box: Rect
+    size: tuple[int, int]
+    rects: np.ndarray
+    lookups: tuple
+
+    @property
+    def window(self) -> Rect:
+        """The bounding rect of the content texels the draw may sample (see
+        the module docstring); empty, as are the rects, where the region
+        meets no pixel the draw may write.  Made on each read, so a draw
+        that needs no window pays nothing for it."""
+        if not len(self.rects):
+            return Rect(0, 0, 0, 0)
+        if self.rotation == (1.0, 0.0):
+            # The lookups are monotone, so the rects sample exactly the
+            # texels between the lookups of their first and last columns
+            # and rows.
+            bx, by, sx, sy = self.lookups
+            lo, hi = self.rects.min(axis=0), self.rects.max(axis=0)
+            return _window(int(sx[lo[0] - bx]), int(sy[lo[1] - by]),
+                           int(sx[hi[2] - 1 - bx]), int(sy[hi[3] - 1 - by]), self.size)
+        # Along each row of a rect, l lies between its values at the two
+        # ends of the row's cut span, formed as the draw forms them, and
+        # every other pixel's l is within eps of that range.
+        rows, lo, hi, _, eps, py_sin, py_cos, col_cos, col_sin = self.lookups
+        _, _, sw, sh, _ = self.fp
+        spanned = lo < hi
+        cols = np.concatenate([lo[spanned], hi[spanned] - 1])
+        at = np.tile(rows[spanned], 2)
+        lx = col_cos[cols] + py_sin[at] + sw / 2.0
+        ly = col_sin[cols] + py_cos[at] + sh / 2.0
+        (width, height) = self.size
+        return _window(_texel(lx.min() - eps, sw, width) - 1,
+                       _texel(ly.min() - eps, sh, height) - 1,
+                       _texel(lx.max() + eps, sw, width) + 1,
+                       _texel(ly.max() + eps, sh, height) + 1, self.size)
+
+
+def plan(photo: PhotoObject, screen: ScreenSpec, region, fp: Footprint,
+         size: tuple[int, int]) -> Plan:
+    """The Plan of drawing the photo, at footprint `fp`, with a content of
+    `size` (width, height) on the screen, on `region` (a sequence of
+    disjoint Rects; None for the whole box)."""
+    box = fp.box.intersect(Rect(0, 0, screen.width, screen.height))
+    corners = np.array([(box.x, box.y, box.x2, box.y2)] if region is None else
+                       [(r.x, r.y, r.x + r.w, r.y + r.h) for r in region],
+                       dtype=np.intp).reshape(-1, 4)
+    cos_t, sin_t = rotation = _rotation(photo)
     if cos_t == 1.0 and sin_t == 0.0:
-        _draw_axis(frame, content, box, rects, fp)
+        rects, lookups = _plan_axis(fp, box, corners, size)
     else:
-        _draw_rotated(frame, content, box, rects, fp, cos_t, sin_t)
+        eps = _slack(fp.cx, fp.cy, fp.sw, fp.sh, screen.width, screen.height)
+        rects, lookups = _plan_rotated(fp, box, corners, cos_t, sin_t, eps)
+    return Plan(fp, rotation, box, size, rects, lookups)
 
 
-def _extent(content: RasterImage):
-    """The whole content's (width, height) and the window's origin, None
-    when `content` is the whole content."""
-    if isinstance(content, ContentWindow):
-        return content.size, (content.rect.x, content.rect.y)
-    return (content.width, content.height), None
+def _cut(corners: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
+    """The rects given by their corners cut to the rect x0, y0, x1, y1;
+    those left empty are dropped."""
+    cut = np.maximum(corners, (x0, y0, x0, y0))
+    np.minimum(cut, (x1, y1, x1, y1), out=cut)
+    return cut[(cut[:, 0] < cut[:, 2]) & (cut[:, 1] < cut[:, 3])]
+
+
+def _window(x0: int, y0: int, x1: int, y1: int, size) -> Rect:
+    """The texel columns x0..x1 and rows y0..y1, each clamped into the
+    content of `size`, as a Rect."""
+    x0, x1 = (min(max(v, 0), size[0] - 1) for v in (x0, x1))
+    y0, y1 = (min(max(v, 0), size[1] - 1) for v in (y0, y1))
+    return Rect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 
 def _axis_lookup(start: int, n: int, c: float, s: float, size: int):
@@ -409,25 +405,86 @@ def _axis_lookup(start: int, n: int, c: float, s: float, size: int):
     return int(inside[0]), (lv / s * size).astype(np.intp)
 
 
-def _draw_axis(frame: Frame, content: RasterImage, box: Rect, rects, fp: Footprint) -> None:
-    """An axis-aligned draw on the rects inside its box: the pixels inside
-    the footprint are one block, and the texel lookup separates into one
-    column and one row lookup over the box, sliced per rect."""
+def _plan_axis(fp: Footprint, box: Rect, corners: np.ndarray, size):
+    """An axis-aligned draw's rects, cut to its block of pixels inside the
+    footprint, and its lookups."""
+    x0, sx = _axis_lookup(box.x, box.w, fp.cx, fp.sw, size[0])
+    y0, sy = _axis_lookup(box.y, box.h, fp.cy, fp.sh, size[1])
+    bx, by = box.x + x0, box.y + y0
+    return _cut(corners, bx, by, bx + len(sx), by + len(sy)), (bx, by, sx, sy)
+
+
+def _plan_rotated(fp: Footprint, box: Rect, corners: np.ndarray, cos_t: float,
+                  sin_t: float, eps: float):
+    """A rotated draw's rects, cut to its box, and its lookups; no rects
+    where no row has a span."""
+    rects = _cut(corners, box.x, box.y, box.x2, box.y2)
+    if not len(rects):
+        return rects, None
+    x0, x1, *products = _row_spans(fp, box, cos_t, sin_t, eps)
+    # Every rect's rows, relative to the box, in one array.
+    heights = rects[:, 3] - rects[:, 1]
+    ends = np.cumsum(heights)
+    rows = np.arange(ends[-1]) - np.repeat(ends - heights, heights)
+    rows += np.repeat(rects[:, 1] - box.y, heights)
+    lo = np.maximum(x0[rows], np.repeat(rects[:, 0] - box.x, heights))
+    hi = np.minimum(x1[rows], np.repeat(rects[:, 2] - box.x, heights))
+    empty = lo >= hi
+    if empty.all():
+        return rects[:0], None
+    # A row without a span gets lo = box.w and hi = 0, so it widens no band.
+    lo[empty], hi[empty] = box.w, 0
+    return rects, (rows, lo, hi, np.concatenate(([0], ends)), eps, *products)
+
+
+def _texel(v: float, s: float, size: int) -> int:
+    """floor(v / s * size), the texel index of local coordinate v, kept
+    within one texel of the content."""
+    return math.floor(min(max(v / s * size, -1.0), size + 1.0))
+
+
+def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
+               screen: ScreenSpec, region=None, planned: Plan | None = None) -> None:
+    """Composite prepared content onto the frame at the photo's transform.
+
+    `region`, when given, is a sequence of disjoint Rects.  Pixels outside
+    the rotated footprint, and outside every rect of the region, are
+    untouched; a pixel inside both is written exactly as by a draw without
+    a region.  `content` may be a ContentWindow that holds every texel the
+    draw samples (the plan's window): it is sampled at its window's
+    offset.  `planned` is the draw's Plan on the same region and the
+    content's size, made here when not given; the kernel then runs on
+    each of its rects.
+    """
     (width, height), origin = _extent(content)
-    x0, sx = _axis_lookup(box.x, box.w, fp.cx, fp.sw, width)
-    y0, sy = _axis_lookup(box.y, box.h, fp.cy, fp.sh, height)
-    block = Rect(box.x + x0, box.y + y0, len(sx), len(sy))
+    if planned is None:
+        planned = plan(photo, screen, region, footprint(photo, screen), (width, height))
+    if not len(planned.rects):
+        return
+    if planned.rotation == (1.0, 0.0):
+        _draw_axis(frame, content, planned, origin)
+    else:
+        _draw_rotated(frame, content, planned, origin)
+
+
+def _extent(content: RasterImage):
+    """The whole content's (width, height) and the window's origin, None
+    when `content` is the whole content."""
+    if isinstance(content, ContentWindow):
+        return content.size, (content.rect.x, content.rect.y)
+    return (content.width, content.height), None
+
+
+def _draw_axis(frame: Frame, content: RasterImage, planned: Plan, origin) -> None:
+    """An axis-aligned draw on its rects: the texel lookup separates into
+    one column and one row lookup over the block, sliced per rect."""
+    bx, by, sx, sy = planned.lookups
     if origin is not None:
         sx, sy = sx - origin[0], sy - origin[1]
     texels, pixels = content.packed, frame.packed
-    for rect in rects:
-        rect = rect.intersect(block)
-        if rect.is_empty():
-            continue
-        rows = sy[rect.y - block.y:rect.y2 - block.y]
-        cols = sx[rect.x - block.x:rect.x2 - block.x]
-        _composite(pixels, (slice(rect.y, rect.y2), slice(rect.x, rect.x2)),
-                   texels.take(rows, axis=0).take(cols, axis=1))
+    for x0, y0, x1, y1 in planned.rects.tolist():
+        _composite(pixels, (slice(y0, y1), slice(x0, x1)),
+                   texels.take(sy[y0 - by:y1 - by], axis=0).take(sx[x0 - bx:x1 - bx], axis=1))
 
 
 def _row_spans(fp: Footprint, box: Rect, cos_t: float, sin_t: float, eps: float):
@@ -452,43 +509,28 @@ def _row_spans(fp: Footprint, box: Rect, cos_t: float, sin_t: float, eps: float)
     return x0, x1, py_sin, py_cos, px * cos_t, -px * sin_t
 
 
-def _cut_spans(x0: np.ndarray, x1: np.ndarray, rect: Rect, box: Rect):
-    """The spans of a rect's rows cut to its columns, relative to the box;
-    a row without a span there gets lo = box.w and hi = 0, so it widens no
-    band."""
-    r0, r1 = rect.y - box.y, rect.y2 - box.y
-    lo = np.maximum(x0[r0:r1], rect.x - box.x)
-    hi = np.minimum(x1[r0:r1], rect.x2 - box.x)
-    empty = lo >= hi
-    lo[empty], hi[empty] = box.w, 0
-    return lo, hi
-
-
-def _draw_rotated(frame: Frame, content: RasterImage, box: Rect, rects, fp: Footprint,
-                  cos_t: float, sin_t: float) -> None:
-    """A rotated draw on the rects inside its box, given the photo's
-    footprint and rotation: per-row spans and per-row and per-column
-    products over the box, then bands of rows on each rect."""
-    cx, cy, sw, sh, _ = fp
-    (width, height), origin = _extent(content)
+def _draw_rotated(frame: Frame, content: RasterImage, planned: Plan, origin) -> None:
+    """A rotated draw on its rects, from the plan's cut spans and per-row
+    and per-column products: bands of rows on each rect."""
+    _, _, sw, sh, _ = planned.fp
+    box = planned.box
+    width, height = planned.size
+    _, lo, hi, starts, _, py_sin, py_cos, col_cos, col_sin = planned.lookups
     cw = content.width
     texels = content.packed.reshape(-1)
     pixels = frame.packed
-    eps = _slack(cx, cy, sw, sh, frame.width, frame.height)
-    x0, x1, py_sin, py_cos, col_cos, col_sin = _row_spans(fp, box, cos_t, sin_t, eps)
 
-    for rect in rects:
-        if rect.is_empty():
-            continue
-        r0, r1 = rect.y - box.y, rect.y2 - box.y
-        lo, hi = _cut_spans(x0, x1, rect, box)
+    for (x0, y0, x1, y1), s0, s1 in zip(planned.rects.tolist(), starts[:-1].tolist(),
+                                        starts[1:].tolist()):
+        r0, r1 = y0 - box.y, y1 - box.y
         # Each band of rows evaluates the full-grid expressions densely on
         # the union of its rows' spans: a column's products and a row's
         # products are formed once, then added in the grid's order.
-        rows = _strip_rows(rect.w)
-        starts = np.arange(0, r1 - r0, rows)
-        for b0, c0, c1 in zip((starts + r0).tolist(), np.minimum.reduceat(lo, starts).tolist(),
-                              np.maximum.reduceat(hi, starts).tolist()):
+        rows = _strip_rows(x1 - x0)
+        bands = np.arange(s0, s1, rows)
+        for b0, c0, c1 in zip((bands - s0 + r0).tolist(),
+                              np.minimum.reduceat(lo[s0:s1], bands - s0).tolist(),
+                              np.maximum.reduceat(hi[s0:s1], bands - s0).tolist()):
             if c0 >= c1:
                 continue
             b1 = min(b0 + rows, r1)

@@ -233,7 +233,7 @@ def resolve_scene(backend: BackendKind, scene, client=None,
     """The failover of a render: (prepare, cost).  `prepare` is the step
     render_full takes; it crops a photo and runs its chain one step at a
     time through route_effect, so only drawn photos reach the service, and
-    within `raster.windowed(window)` each step runs on its window only.
+    each step runs only on what the window it is given maps back to.
     `cost` charges every chain the backend cannot run, drawn or not, on
     its whole crop: a local step its output area as work, a routed step
     one remote latency.
@@ -250,9 +250,9 @@ def resolve_scene(backend: BackendKind, scene, client=None,
             else:
                 remote_calls += 1
 
-    def prepare(photo: PhotoObject, source: RasterImage) -> RasterImage:
+    def prepare(photo: PhotoObject, source: RasterImage, window=None) -> RasterImage:
         return raster.prepare_content(
-            photo, source, lambda image, spec: route_effect(backend, image, spec, client))
+            photo, source, window, lambda image, spec: route_effect(backend, image, spec, client))
 
     cost = (report(local_pixels, throughput, frames=0)
             + CostReport(0, remote_calls * REMOTE_LATENCY_MS))

@@ -284,9 +284,11 @@ def test_hidden_photo_errors_are_one_line_errors(tmp_path, capsys, under, says, 
 
 
 @pytest.mark.parametrize("backend", ["raster", "scenegraph", "legacy"])
-def test_render_decodes_each_drawn_source_once_and_no_other(tmp_path, monkeypatch, backend):
+def test_render_reads_one_window_per_drawn_photo_and_decodes_no_source(tmp_path, monkeypatch,
+                                                                      backend):
     """A render reads every source's header, for the size pass and the
-    checks, but decodes only the sources of drawn photos, each once, and
+    checks, but decodes no source whole: it reads one window of the source
+    per drawn photo, a shared source once for each of its photos, and
     none of a photo culled under an opaque one or off screen."""
     sizes = {"shared.ppm": (8, 6), "top.ppm": (60, 60), "covered.ppm": (10, 10),
              "off.ppm": (12, 12)}
@@ -305,15 +307,21 @@ def test_render_decodes_each_drawn_source_once_and_no_other(tmp_path, monkeypatc
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps({"standard_viewport": [1024, 768], "z_base": 0,
                                  "photos": photos}), encoding="utf-8")
-    decoded = []
-    decode = image.decode_ppm
+    decoded, read = [], []
+    decode, read_window = image.decode_ppm, image.PpmFile.read
 
     def counting_decode(buf):
         img = decode(buf)
         decoded.append((img.width, img.height))
         return img
 
+    def counting_read(source, *rect):
+        read.append(source.path.name)
+        return read_window(source, *rect)
+
     monkeypatch.setattr(image, "decode_ppm", counting_decode)
+    monkeypatch.setattr(image.PpmFile, "read", counting_read)
     assert main(["render", "--scene", str(scene), "--backend", backend,
                  "--out", str(tmp_path / "f.ppm")]) == 0
-    assert sorted(decoded) == sorted([sizes["shared.ppm"], sizes["top.ppm"]])
+    assert decoded == []
+    assert sorted(read) == ["shared.ppm", "shared.ppm", "top.ppm"]

@@ -347,3 +347,32 @@ def test_spec_json_round_trip():
              fx.hue(270.5), fx.invert()]
     for spec in specs:
         assert EffectSpec.from_json_dict(spec.to_json_dict()) == spec
+
+
+@pytest.mark.parametrize("spec", [fx.invert(), fx.brightness(-37), fx.brightness(12.5),
+                                  fx.contrast(0.0), fx.contrast(1e300), fx.saturate(0.3),
+                                  fx.saturate(2.0), fx.hue(120), fx.hue(-7.25)],
+                         ids=lambda spec: f"{spec.kind.value}{list(spec.params.values())}")
+def test_a_cached_table_equals_a_fresh_one_and_cannot_be_written(spec):
+    """Tables built per kind and parameter value are cached: a call with
+    the same value gets the same arrays, equal to freshly built ones,
+    read-only, and the kind's bytes are those of a call after the cache
+    is cleared."""
+    image = random_image(random.Random(11), max_side=12)
+    if spec.kind in fx._CHANNEL_MAPS:
+        key = (spec.kind, tuple(spec.params.items()))
+        cache = fx._pair_tables
+    else:
+        key = (spec.params.get("factor"),)
+        cache = fx._hsl_colour_tables
+    cached = cache(*key)
+    assert cache(*key) is cached
+    fresh = cache.__wrapped__(*key)
+    for table, want in zip(cached, fresh, strict=True):
+        assert np.array_equal(table, want) and table.dtype == want.dtype
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+    warm = apply_effect(image, spec)
+    cache.cache_clear()
+    assert apply_effect(image, spec) == warm

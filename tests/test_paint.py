@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 from scrapbook import backends
 from scrapbook import effects as fx
+from scrapbook import raster
 from scrapbook.backends import BackendKind, _paint, render_full
 from scrapbook.geometry import Rect
 from scrapbook.image import RasterImage
 from scrapbook.photo import EmptyCropError, PhotoObject
-from scrapbook.raster import Frame, covered_tiles, draw_photo, prepare_content
+from scrapbook.raster import Frame, covered_tiles, draw_photo, footprint, prepare_content
 from scrapbook.scene import SceneDocument
 from scrapbook.viewport import ScreenSpec, to_standard
 
@@ -107,12 +108,10 @@ def test_paint_equals_plain_back_to_front_paint(scene):
     assert got == want
 
 
-@PROPERTY
-@given(st.data())
-def test_a_covered_tile_is_drawn_in_full(data):
-    """Tiles cut at arbitrary columns and rows, so that some end exactly on
-    a photo edge that passes through pixel centres."""
-    draw = data.draw
+def _tiled_photo(draw):
+    """A photo on a screen of up to 60 px a side, and tiles cut at arbitrary
+    columns and rows, so that some end exactly on a photo edge that
+    passes through pixel centres."""
     w, h = draw(st.integers(1, 60)), draw(st.integers(1, 60))
     screen = draw(st.sampled_from([ScreenSpec.identity, ScreenSpec.fit]))(w, h)
     size = (draw(st.integers(1, 40)), draw(st.integers(1, 40)))
@@ -124,11 +123,57 @@ def test_a_covered_tile_is_drawn_in_full(data):
     cuts = st.lists(st.integers(1, 59), max_size=8)
     xs = np.array(sorted({0, w} | {x for x in draw(cuts) if x < w}))
     ys = np.array(sorted({0, h} | {y for y in draw(cuts) if y < h}))
-    frame = Frame(w, h)
-    draw_photo(frame, photo, RasterImage.filled(*size, (0, 0, 0, 255)), screen)
+    return photo, screen, xs, ys
+
+
+@PROPERTY
+@given(st.data())
+def test_a_covered_tile_is_drawn_in_full(data):
+    photo, screen, xs, ys = _tiled_photo(data.draw)
+    frame = Frame(screen.width, screen.height)
+    draw_photo(frame, photo, RasterImage.filled(*photo.source_size, (0, 0, 0, 255)), screen)
     drawn = (frame.rgb == 0).all(axis=2)
     for i, j in np.argwhere(covered_tiles(photo, screen, xs, ys)):
         assert drawn[ys[i]:ys[i + 1], xs[j]:xs[j + 1]].all(), (i, j)
+
+
+def corner_covered_tiles(photo, screen, xs, ys):
+    """covered_tiles as it stood before it worked per tile row, kept as a
+    test-only oracle: a tile is covered when its four corner pixel centres
+    satisfy margin <= l <= size - margin for both local coordinates."""
+    cx, cy, sw, sh, _ = footprint(photo, screen)
+    cos_t, sin_t = raster._rotation(photo)
+    margin = raster._slack(cx, cy, sw, sh, screen.width, screen.height)
+    px = np.stack([xs[:-1], xs[1:] - 1], axis=1).reshape(-1) + 0.5 - cx
+    py = np.stack([ys[:-1], ys[1:] - 1], axis=1).reshape(-1)[:, None] + 0.5 - cy
+    lx = px * cos_t + py * sin_t + sw / 2.0
+    ly = -px * sin_t + py * cos_t + sh / 2.0
+    ok = (lx >= margin) & (lx <= sw - margin) & (ly >= margin) & (ly <= sh - margin)
+    return ok.reshape(len(ys) - 1, 2, len(xs) - 1, 2).all(axis=(1, 3))
+
+
+@PROPERTY
+@given(st.data())
+def test_per_row_covered_tiles_are_a_subset_of_the_corner_form(data):
+    """The per-tile-row answer may differ from the corner form only
+    towards not covered."""
+    photo, screen, xs, ys = _tiled_photo(data.draw)
+    got = covered_tiles(photo, screen, xs, ys)
+    assert got.shape == (len(ys) - 1, len(xs) - 1)
+    assert not (got & ~corner_covered_tiles(photo, screen, xs, ys)).any()
+
+
+@pytest.mark.parametrize("angle", [0.0, 90.0, 30.0, -111.8, 1e-9])
+def test_per_row_covered_tiles_equal_the_corner_form_away_from_edges(angle):
+    """On 16 px tiles under a large photo, where no corner lies within a
+    margin of an edge, both forms give the same tiles, and some."""
+    screen = ScreenSpec.identity(400, 300)
+    photo = PhotoObject(id="p", source="s", source_size=(50, 40), scale=5.0, angle=angle,
+                        center=(200.3, 150.7))
+    xs, ys = np.arange(0, 401, 16).clip(0, 400), np.arange(0, 301, 16).clip(0, 300)
+    xs, ys = np.unique(np.append(xs, 400)), np.unique(np.append(ys, 300))
+    got = covered_tiles(photo, screen, xs, ys)
+    assert got.any() and np.array_equal(got, corner_covered_tiles(photo, screen, xs, ys))
 
 
 # --- what is culled ------------------------------------------------------------
@@ -150,9 +195,9 @@ def log_paint(monkeypatch):
     prepared, painted = [], []
     prepare, draw = backends.prepare_content, backends.draw_photo
 
-    def logged_prepare(photo, source):
+    def logged_prepare(photo, source, window):
         prepared.append(photo.id)
-        return prepare(photo, source)
+        return prepare(photo, source, window)
 
     def logged_draw(frame, photo, *rest):
         painted.append(photo.id)

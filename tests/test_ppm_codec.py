@@ -10,8 +10,9 @@ comment longer than the header reader's first read, bytes after the
 payload and a payload one byte short.  Decoding must give the oracle's
 pixels or its error, type and message alike, and so must PpmFile, which
 checks a file from its header and length and decodes it on first read.
-Encoding must give the oracle's bytes, and a decode-encode round trip of
-an encoded image must give the same bytes back.
+Encoding must give the oracle's bytes, on small images and on frames
+whose groups of four pixels span several strips, and a decode-encode
+round trip of an encoded image must give the same bytes back.
 """
 
 import numpy as np
@@ -178,3 +179,15 @@ def test_ppm_file_decodes_once_on_first_pixel_read(ppm_path, monkeypatch):
     assert lazy == img and lazy.get_pixel(4, 2) == (9, 8, 7, 255)
     assert lazy.copy() == img
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("width, height", [(1023, 300), (2001, 400), (3, 90001), (5, 7)])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_encode_across_strips_equals_the_oracle_encode(width, height, workers, monkeypatch):
+    """Frames whose width is not a multiple of 4 and whose groups span one
+    to four strips of STRIP_PX groups, encoded inline and on two threads."""
+    arr = np.random.default_rng(width * height).integers(0, 256, (height, width, 4),
+                                                          dtype=np.uint8)
+    img = RasterImage.from_array(arr)
+    monkeypatch.setattr(image, "_WORKERS", workers)
+    assert encode_ppm(img) == oracle_encode_ppm(img)

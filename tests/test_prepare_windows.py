@@ -27,7 +27,7 @@ from scrapbook.backends import BackendKind, _paint
 from scrapbook.geometry import Rect
 from scrapbook.image import RasterImage
 from scrapbook.photo import PhotoObject
-from scrapbook.raster import ContentWindow, Frame, crop_rect, prepare_content, windowed
+from scrapbook.raster import ContentWindow, Frame, crop_rect, prepare_content
 from scrapbook.scene import SceneDocument
 from scrapbook.service import LocalClient, resolve_scene
 from scrapbook.viewport import ScreenSpec, to_standard
@@ -160,8 +160,7 @@ def prepare_steps(photos):
 
 
 def prepared_window(prepare, photo, source, window):
-    with windowed(window):
-        return (prepare or prepare_content)(photo, source)
+    return (prepare or prepare_content)(photo, source, window)
 
 
 # --- a window of a chain equals that window of the whole chain ---------------
@@ -320,8 +319,8 @@ def test_the_paint_prepares_only_the_sampled_window():
     prepared = []
     prepare = backends.prepare_content
 
-    def logged(photo, source):
-        content = prepare(photo, source)
+    def logged(photo, source, window):
+        content = prepare(photo, source, window)
         prepared.append((content.rect, content.size))
         return content
 
