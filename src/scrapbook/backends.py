@@ -13,16 +13,21 @@ list back-to-front; only a drag frame patches the live surface in place.
 The pass draws only what can be seen.  It first walks the list top-down
 over a grid of TILE x TILE tiles: a photo whose box lies wholly in tiles
 already covered by opaque photos above it is culled, so it is neither
-prepared nor drawn.  Each kept photo is drawn once, on its region: its
+prepared nor drawn.  Each kept photo is drawn on its region: its
 uncovered tiles as a short list of disjoint rects, one per run of
 uncovered tiles in a tile row, with identical neighbouring tile rows
 merged.  A tile counts as covered only where the rasterizer provably
 writes every pixel of it (see `raster`), so frames are bit-identical to
 drawing every photo in full.  Each kept photo is also prepared only in
-part: its prepare step is given a window, the bounding rect of the
-content texels its region samples, and runs the chain on that window
-mapped back through it, so its effects and any routed request cover only
-that window.  Every strategy runs the same pixel code:
+part, on a few windows.  Its rects, in region order, fall into runs,
+each with its window, the bounding rect of the content texels the run
+samples: a rect joins the run before it when their joint window costs at
+most WINDOW_ALLOWANCE texels more than the two apart, and the photo keeps
+one window unless splitting saves more than that per extra window (see
+_groups).  Each run's prepare step is given its window and runs the
+chain on it mapped back through it, so its effects, its source read and
+any routed request cover only that window; then the run is drawn.
+Every strategy runs the same pixel code:
 an `end` copies the session's static layer and repaints only the box at
 rest, through the same pass.  Strategies differ only in their capability
 tables and in what they are charged, and the charges below stay those of
@@ -62,8 +67,8 @@ from .effects import EffectKind, chain_output_size
 from .geometry import Rect
 from .image import RasterImage
 from .photo import PhotoObject, effect_pixels, move_to
-from .raster import (Frame, covered_tiles, crop_rect, draw_photo, footprint, is_opaque, plan,
-                     prepare_content)
+from .raster import (Frame, Plan, covered_tiles, crop_rect, draw_photo, footprint, is_opaque,
+                     plan, prepare_content)
 from .scene import SceneDocument
 from .viewport import ScreenSpec
 
@@ -151,11 +156,14 @@ def runs_chain(backend: BackendKind, photo: PhotoObject) -> bool:
     return all(spec.kind in CAPABILITIES[backend] for spec in photo.effects)
 
 
-def redraw_units(backend: BackendKind, photos, screen: ScreenSpec) -> int:
+def redraw_units(backend: BackendKind, photos, screen: ScreenSpec, boxes=None) -> int:
     """The one redraw rule: the clear (raster only) plus each photo's box
-    and effect-chain pixels."""
+    and effect-chain pixels.  `boxes`, when given, are the photos' screen
+    boxes, already made."""
+    if boxes is None:
+        boxes = [screen_bbox(p, screen) for p in photos]
     units = 0 if backend.retained else screen.width * screen.height
-    return units + sum(draw_units(p, screen) + effect_pixels(p) for p in photos)
+    return units + sum(box.area + effect_pixels(p) for p, box in zip(photos, boxes))
 
 
 def update_units(backend: BackendKind, photo: PhotoObject, screen: ScreenSpec,
@@ -209,6 +217,13 @@ def _check_chains(backend: BackendKind, scene: SceneDocument) -> None:
 # Edge in pixels of the square tiles the paint pass tracks occlusion on.
 TILE = 16
 
+# The texels one more window must save before the paint pass splits a
+# drawn photo's window: the cost, in texels, of one more prepare call and
+# source read.  Chosen by a sweep over one raster render of perfbench's
+# seed-601 compose scene: 2**12 prepares 1.16 M texels in 136 windows,
+# 2**14 1.48 M in 79 and 2**16 2.15 M in 66, against 7.11 M in 48 unsplit.
+WINDOW_ALLOWANCE = 2 ** 14
+
 
 def _region(opened: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list[Rect]:
     """The open tiles as disjoint rects, where tile (i, j) holds the columns
@@ -224,6 +239,43 @@ def _region(opened: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> list[Rect]:
     group, c0, c1 = group[::2], col[::2], col[1::2]
     corners = np.stack([xs[c0], ys[first[group]], xs[c1], ys[last[group]]], axis=1)
     return [Rect(x0, y0, x1 - x0, y1 - y0) for x0, y0, x1, y1 in corners.tolist()]
+
+
+def _joined(a, b) -> tuple:
+    """The bounding rect of two rects given as x0, y0, x1, y1."""
+    return min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3])
+
+
+def _area(r) -> int:
+    return (r[2] - r[0]) * (r[3] - r[1])
+
+
+def _groups(drawn: Plan) -> list[tuple[Plan, Rect]]:
+    """The draw split into runs of its rects, each with its window, the
+    union of its rects' texel bounds.  A rect joins the run before it, in
+    region order, when their union window costs at most WINDOW_ALLOWANCE
+    texels more than the two apart.  One run of all the rects, on the
+    union of all their bounds, when the runs' texels plus one allowance
+    per extra window reach that union's; none when the draw writes no
+    pixel."""
+    bounds = drawn.bounds
+    if not len(bounds):
+        return []
+    runs = []  # [first rect, window as x0, y0, x1, y1]
+    for k, rect in enumerate(bounds.tolist()):
+        if runs:
+            joined = _joined(runs[-1][1], rect)
+            if _area(joined) <= _area(runs[-1][1]) + _area(rect) + WINDOW_ALLOWANCE:
+                runs[-1][1] = joined
+                continue
+        runs.append([k, rect])
+    whole = bounds[:, :2].min(axis=0).tolist() + bounds[:, 2:].max(axis=0).tolist()
+    if sum(_area(window) for _, window in runs) + WINDOW_ALLOWANCE * (len(runs) - 1) \
+            >= _area(whole):
+        runs = [[0, whole]]
+    starts = [k for k, _ in runs] + [len(drawn.rects)]
+    return [(drawn if len(runs) == 1 else drawn.sub(k0, k1), Rect(x0, y0, x1 - x0, y1 - y0))
+            for k0, k1, (_, (x0, y0, x1, y1)) in zip(starts, starts[1:], runs)]
 
 
 def _visible(placed, area: Rect, screen: ScreenSpec):
@@ -254,32 +306,41 @@ def _visible(placed, area: Rect, screen: ScreenSpec):
     return kept[::-1]
 
 
-def _paint(photos, sources: SourceResolver, screen: ScreenSpec,
-           frame: Frame | None = None, damage: Rect | None = None,
-           prepare: PrepareStep | None = None) -> Frame:
-    """The one paint pass: the photos drawn back-to-front into `frame` (a
-    fresh one by default) over the whole screen, or only inside `damage`,
-    which is cleared to white first.  Each drawn photo's texture comes from
-    `prepare`, by default prepare_content as named at call time.
-
-    Only what can be seen is drawn: a photo hidden under opaque photos in
-    the painted area is neither prepared nor drawn, and each drawn photo is
-    drawn in one call on its region, the tiles where it may show.  Each
-    drawn photo is planned once (raster.plan): its box, its region cut to
-    the box, its lookups and its window, the bounding rect of the content
-    texels that its region samples.  Its prepare step is called as
-    prepare(photo, source, window), so only those texels are made, and
-    its draw reads the same plan; a photo whose region writes no pixel is
-    neither prepared nor drawn.  Each photo's footprint is made once and
-    serves its culling, plan and draw.  Every source is still resolved and
-    every crop and size checked, back-to-front, so a hidden photo fails
-    exactly as a drawn one does.
-    """
+def _place(photos, sources: SourceResolver, screen: ScreenSpec) -> list:
+    """Each photo, back-to-front, as (photo, source, footprint): every
+    source resolved and every crop and size checked, in that order, so a
+    photo the paint pass hides fails exactly as a drawn one does.  The
+    footprints serve the paint pass and the charge alike."""
     placed = []
     for photo in photos:
         source = sources(photo.source)
         crop_rect(photo, source)
         placed.append((photo, source, footprint(photo, screen)))
+    return placed
+
+
+def _boxes(placed) -> list[Rect]:
+    return [fp.box for _, _, fp in placed]
+
+
+def _paint(placed, screen: ScreenSpec, frame: Frame | None = None,
+           damage: Rect | None = None, prepare: PrepareStep | None = None) -> Frame:
+    """The one paint pass: the placed photos (see _place) drawn
+    back-to-front into `frame` (a fresh one by default) over the whole
+    screen, or only inside `damage`, which is cleared to white first.  Each
+    drawn photo's texture comes from `prepare`, by default prepare_content
+    as named at call time.
+
+    Only what can be seen is drawn: a photo hidden under opaque photos in
+    the painted area is neither prepared nor drawn, and each drawn photo is
+    drawn on its region, the tiles where it may show.  Each drawn photo is
+    planned once (raster.plan): its box, its region cut to the box, its
+    lookups and each rect's texel bounds.  Its rects are then split into a
+    few runs (see _groups), and each run is prepared as prepare(photo,
+    source, window), with the window its rects sample, and drawn on the
+    same plan's lookups; a photo whose region writes no pixel is neither
+    prepared nor drawn.
+    """
     if frame is None:
         frame = Frame(screen.width, screen.height)
     area = Rect(0, 0, screen.width, screen.height)
@@ -291,11 +352,8 @@ def _paint(photos, sources: SourceResolver, screen: ScreenSpec,
         crop = crop_rect(photo, source)
         drawn = plan(photo, screen, region, fp,
                      chain_output_size(crop.w, crop.h, photo.effects))
-        window = drawn.window
-        if window.is_empty():
-            continue
-        content = prepare(photo, source, window)
-        draw_photo(frame, photo, content, screen, region, drawn)
+        for part, window in _groups(drawn):
+            draw_photo(frame, photo, prepare(photo, source, window), screen, part.region, part)
     return frame
 
 
@@ -306,8 +364,10 @@ def render_full(backend: BackendKind, scene: SceneDocument, sources: SourceResol
     if prepare is None:
         _check_chains(backend, scene)
     routed_fx = sum(effect_pixels(p) for p in scene.photos if not runs_chain(backend, p))
-    return (_paint(scene.photos, sources, screen, prepare=prepare),
-            report(redraw_units(backend, scene.photos, screen) - routed_fx, throughput))
+    placed = _place(scene.photos, sources, screen)
+    return (_paint(placed, screen, prepare=prepare),
+            report(redraw_units(backend, scene.photos, screen, _boxes(placed)) - routed_fx,
+                   throughput))
 
 
 class InteractionSession:
@@ -333,12 +393,14 @@ class InteractionSession:
         self.closed = False
         self._content = prepare_content(self.photo, sources(self.photo.source))
         statics = [p for p in scene.photos if p.id != photo_id]
-        self._bg = _paint(statics, sources, screen)
+        placed = _place(statics, sources, screen)
+        self._bg = _paint(placed, screen)
         self._work = self._bg.copy()
         self._fp = footprint(self.photo, screen)
         self._draw(self.photo)
         # Raster renders the static layer once; retained nodes just detach.
-        units = 0 if backend.retained else redraw_units(backend, statics, screen)
+        units = 0 if backend.retained else redraw_units(backend, statics, screen,
+                                                        _boxes(placed))
         self.begin_cost = report(units, throughput, frames=0 if backend.retained else 1)
         scene._active_session = self
 
@@ -385,11 +447,12 @@ class InteractionSession:
         self.closed = True
         self.scene._active_session = None
         moved = self.scene.replace_photo(move_to(self.photo, *self.center))
-        frame = _paint(self.scene.photos, self.sources, self.screen, self._bg.copy(),
-                       screen_bbox(moved, self.screen))
+        placed = _place(self.scene.photos, self.sources, self.screen)
+        damage = next(fp.box for p, _, fp in placed if p is moved)
+        frame = _paint(placed, self.screen, self._bg.copy(), damage)
         # Raster is charged a redraw of everything; retained nodes only the box.
-        units = (draw_units(moved, self.screen) if self.backend.retained
-                 else redraw_units(self.backend, self.scene.photos, self.screen))
+        units = (damage.area if self.backend.retained
+                 else redraw_units(self.backend, self.scene.photos, self.screen, _boxes(placed)))
         return frame, report(units, self.throughput)
 
 

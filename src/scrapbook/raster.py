@@ -12,12 +12,13 @@ frame with round-half-up channel math.
 The kernel's cost follows the pixels it writes.  A draw may be given a
 region, a list of disjoint rects, and then runs on each rect of it only.
 Everything a draw needs besides the pixels is made once, by `plan`: the
-box, the region's rects cut to it, the lookups or cut spans below and the
-content window.  The paint pass makes one plan per drawn photo, which both
-the window's prepare step and the draw read.  An axis-aligned draw
-separates into one row lookup and one column lookup over its box, which
-each rect slices.  A rotated draw walks
-each rect in bands of rows, each of about image.STRIP_PX pixels
+box, the region's rects cut to it, and the lookups or cut spans below,
+from which it reads each rect's texel bounds.  The paint pass makes one
+plan per drawn photo and draws it in a few runs of its rects; a run's
+plan (`Plan.sub`) slices the same lookups, so nothing is planned twice.
+An axis-aligned draw separates into one row lookup and one column lookup
+over its box, which each rect slices.  A rotated draw walks each rect in
+bands of rows, each of about image.STRIP_PX pixels
 (`image._strip_rows`).  The rectangle's four edge functions (Pineda,
 SIGGRAPH 1988) give each row of the box a conservative span of columns,
 widened past float64 rounding; a rect cuts each of its rows' spans to its
@@ -75,28 +76,32 @@ The argument holds tile by tile, so a draw beneath may leave out any
 covered tile: its region is made of the tiles not yet covered, and each
 of its rects is a union of whole tiles.
 
-A draw need not have its whole content.  The plan's window bounds the
-texels a draw on a region may sample, and the paint pass passes it to the
-photo's prepare step, which makes only those (see `prepare_content`) and
-reads only the source rect they map back to.  The draw samples
-such a ContentWindow at an integer offset: the texel formula keeps the
-whole content's size, and the window's origin is subtracted from each
-index, only when the window is not the whole content.  The bound is exact
-in the sense that it never misses a texel.  texel = floor(l / s * size),
-computed as the draw computes it, is monotone in l, and l is affine in
-the pixel centre:
+A draw need not have its whole content.  The plan bounds, per rect, the
+texels that rect's pixels may sample (`Plan.bounds`); a run of rects
+samples only texels in the union of its rects' bounds, its window.  The
+paint pass gives
+each run's window to the photo's prepare step, which makes only those
+texels (see `prepare_content`) and reads only the source rect they map
+back to.  The draw samples such a ContentWindow at an integer offset:
+the texel formula keeps the whole content's size, and the window's
+origin is subtracted from each index, only when the window is not the
+whole content.  The bound is exact in the sense that it never misses a
+texel.  texel = floor(l / s * size), computed as the draw computes it, is
+monotone in l, and l is affine in the pixel centre:
 - An axis-aligned draw slices the plan's column and row lookups per
-  rect; they are monotone, so the rects sample exactly the texels between
-  the lookups of their first and last columns and rows.
+  rect; they are monotone, so a rect samples exactly the texels between
+  the lookups of its first and last columns and rows.
 - A rotated draw writes only pixels of a rect's rows inside each row's
   cut span, and along a row l lies between its values at the span's two
   ends.  Those ends are evaluated with the draw's own
   expressions; any other pixel's l may differ from that range only by
-  float64 rounding, far below the spans' slack eps.  So the bound takes
-  the texels of the ends' l widened by eps, then one more texel on each
-  side, and clamps them into the content.
-The window may hold texels no pixel samples, never too few, so every
-pixel reads the texel it would read from the whole content.
+  float64 rounding, far below the spans' slack eps.  So a rect's bound
+  takes the texels of its ends' least and greatest l widened by eps, then
+  one more texel on each side, and clamps them into the content.
+A window may hold texels no pixel samples, never too few, so every pixel
+reads the texel it would read from the whole content.  The rects are
+disjoint, so drawing a photo run by run, each run from its own window,
+writes every pixel exactly as one draw from the whole content would.
 
 The frame is an opaque RasterImage, so texels and frame pixels share one
 layout: both are read and written through packed uint32 views, one 4-byte
@@ -315,7 +320,7 @@ class Plan(NamedTuple):
     spans of each rect's rows cut to its columns, relative to the box, one
     array for all rects with rect k's rows from starts[k], each entry's
     row of the box, the slack, and the per-row and per-column products of
-    the box (see `_row_spans`).
+    the box (see `_row_spans`).  Every rotated rect has a row with a span.
     """
 
     fp: Footprint
@@ -326,36 +331,53 @@ class Plan(NamedTuple):
     lookups: tuple
 
     @property
-    def window(self) -> Rect:
-        """The bounding rect of the content texels the draw may sample (see
-        the module docstring); empty, as are the rects, where the region
-        meets no pixel the draw may write.  Made on each read, so a draw
-        that needs no window pays nothing for it."""
+    def bounds(self) -> np.ndarray:
+        """Per rect, the bounding rect of the content texels its pixels may
+        sample (see the module docstring), as an (n, 4) array of x0, y0,
+        x1, y1 in texels.  Made on each read, so a draw that needs no
+        window pays nothing for it."""
         if not len(self.rects):
-            return Rect(0, 0, 0, 0)
+            return np.zeros((0, 4), dtype=np.intp)
         if self.rotation == (1.0, 0.0):
-            # The lookups are monotone, so the rects sample exactly the
-            # texels between the lookups of their first and last columns
-            # and rows.
+            # The lookups are monotone, so a rect samples exactly the texels
+            # between the lookups of its first and last columns and rows.
             bx, by, sx, sy = self.lookups
-            lo, hi = self.rects.min(axis=0), self.rects.max(axis=0)
-            return _window(int(sx[lo[0] - bx]), int(sy[lo[1] - by]),
-                           int(sx[hi[2] - 1 - bx]), int(sy[hi[3] - 1 - by]), self.size)
+            x0, y0, x1, y1 = self.rects.T
+            return np.stack([sx[x0 - bx], sy[y0 - by], sx[x1 - 1 - bx] + 1,
+                             sy[y1 - 1 - by] + 1], axis=1)
         # Along each row of a rect, l lies between its values at the two
         # ends of the row's cut span, formed as the draw forms them, and
         # every other pixel's l is within eps of that range.
-        rows, lo, hi, _, eps, py_sin, py_cos, col_cos, col_sin = self.lookups
+        rows, lo, hi, starts, eps, py_sin, py_cos, col_cos, col_sin = self.lookups
         _, _, sw, sh, _ = self.fp
         spanned = lo < hi
-        cols = np.concatenate([lo[spanned], hi[spanned] - 1])
-        at = np.tile(rows[spanned], 2)
-        lx = col_cos[cols] + py_sin[at] + sw / 2.0
-        ly = col_sin[cols] + py_cos[at] + sh / 2.0
-        (width, height) = self.size
-        return _window(_texel(lx.min() - eps, sw, width) - 1,
-                       _texel(ly.min() - eps, sh, height) - 1,
-                       _texel(lx.max() + eps, sw, width) + 1,
-                       _texel(ly.max() + eps, sh, height) + 1, self.size)
+        ends = (np.where(spanned, lo, 0), np.where(spanned, hi - 1, 0))
+        lx = [col_cos[c] + py_sin[rows] + sw / 2.0 for c in ends]
+        ly = [col_sin[c] + py_cos[rows] + sh / 2.0 for c in ends]
+        at = starts[:-1]
+
+        def reduced(l, s, size):
+            low = np.minimum.reduceat(np.where(spanned, np.minimum(*l), np.inf), at)
+            high = np.maximum.reduceat(np.where(spanned, np.maximum(*l), -np.inf), at)
+            return (np.clip(_texels(low - eps, s, size) - 1, 0, size - 1),
+                    np.clip(_texels(high + eps, s, size) + 1, 0, size - 1) + 1)
+
+        (x0, x1), (y0, y1) = reduced(lx, sw, self.size[0]), reduced(ly, sh, self.size[1])
+        return np.stack([x0, y0, x1, y1], axis=1)
+
+    @property
+    def region(self) -> list[Rect]:
+        """The rects as Rects."""
+        return [Rect(x0, y0, x1 - x0, y1 - y0) for x0, y0, x1, y1 in self.rects.tolist()]
+
+    def sub(self, k0: int, k1: int) -> "Plan":
+        """The plan of the draw on rects k0 to k1 only, on the same lookups."""
+        lookups = self.lookups
+        if self.rotation != (1.0, 0.0):
+            rows, lo, hi, starts, *rest = lookups
+            s0, s1 = starts[k0], starts[k1]
+            lookups = (rows[s0:s1], lo[s0:s1], hi[s0:s1], starts[k0:k1 + 1] - s0, *rest)
+        return self._replace(rects=self.rects[k0:k1], lookups=lookups)
 
 
 def plan(photo: PhotoObject, screen: ScreenSpec, region, fp: Footprint,
@@ -384,14 +406,6 @@ def _cut(corners: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
     return cut[(cut[:, 0] < cut[:, 2]) & (cut[:, 1] < cut[:, 3])]
 
 
-def _window(x0: int, y0: int, x1: int, y1: int, size) -> Rect:
-    """The texel columns x0..x1 and rows y0..y1, each clamped into the
-    content of `size`, as a Rect."""
-    x0, x1 = (min(max(v, 0), size[0] - 1) for v in (x0, x1))
-    y0, y1 = (min(max(v, 0), size[1] - 1) for v in (y0, y1))
-    return Rect(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
-
-
 def _axis_lookup(start: int, n: int, c: float, s: float, size: int):
     """Along one axis of an axis-aligned draw, the offset of the first of
     the n pixels from `start` that lie inside the footprint, and the
@@ -416,8 +430,8 @@ def _plan_axis(fp: Footprint, box: Rect, corners: np.ndarray, size):
 
 def _plan_rotated(fp: Footprint, box: Rect, corners: np.ndarray, cos_t: float,
                   sin_t: float, eps: float):
-    """A rotated draw's rects, cut to its box, and its lookups; no rects
-    where no row has a span."""
+    """A rotated draw's rects, cut to its box and kept where a row has a
+    span, and its lookups."""
     rects = _cut(corners, box.x, box.y, box.x2, box.y2)
     if not len(rects):
         return rects, None
@@ -430,17 +444,21 @@ def _plan_rotated(fp: Footprint, box: Rect, corners: np.ndarray, cos_t: float,
     lo = np.maximum(x0[rows], np.repeat(rects[:, 0] - box.x, heights))
     hi = np.minimum(x1[rows], np.repeat(rects[:, 2] - box.x, heights))
     empty = lo >= hi
-    if empty.all():
-        return rects[:0], None
+    kept = np.logical_or.reduceat(~empty, ends - heights)
+    if not kept.all():
+        if not kept.any():
+            return rects[:0], None
+        rows, lo, hi, empty = (a[np.repeat(kept, heights)] for a in (rows, lo, hi, empty))
+        rects, ends = rects[kept], np.cumsum(heights[kept])
     # A row without a span gets lo = box.w and hi = 0, so it widens no band.
     lo[empty], hi[empty] = box.w, 0
     return rects, (rows, lo, hi, np.concatenate(([0], ends)), eps, *products)
 
 
-def _texel(v: float, s: float, size: int) -> int:
-    """floor(v / s * size), the texel index of local coordinate v, kept
-    within one texel of the content."""
-    return math.floor(min(max(v / s * size, -1.0), size + 1.0))
+def _texels(v: np.ndarray, s: float, size: int) -> np.ndarray:
+    """floor(v / s * size), the texel index of each local coordinate in v,
+    kept within one texel of the content."""
+    return np.floor(np.clip(v / s * size, -1.0, size + 1.0)).astype(np.intp)
 
 
 def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
@@ -451,8 +469,8 @@ def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
     the rotated footprint, and outside every rect of the region, are
     untouched; a pixel inside both is written exactly as by a draw without
     a region.  `content` may be a ContentWindow that holds every texel the
-    draw samples (the plan's window): it is sampled at its window's
-    offset.  `planned` is the draw's Plan on the same region and the
+    draw samples (the union of its plan's bounds): it is sampled at its
+    window's offset.  `planned` is the draw's Plan on the same region and the
     content's size, made here when not given; the kernel then runs on
     each of its rects.
     """

@@ -3,9 +3,10 @@
 When a backend lacks an effect, the effect runs "server-side" through one
 JSON switch in place of the local step, as each photo is drawn, so every
 feature works on every backend.  A drawn photo's chain runs only on the
-window its draw samples (see `raster.prepare_content`), so a routed step
-sends only its input window, with a redeye region moved into it; the
-request's format is that of a whole-image request.  The same envelope is
+windows its draws sample, one per run of its rects (see `backends._groups`
+and `raster.prepare_content`), so a routed step sends only one run's
+input window, with a redeye region moved into it; the request's format
+is that of a whole-image request.  The same envelope is
 spoken in-process (LocalClient) and over HTTP POST /api (HttpClient
 against serve()).
 

@@ -337,3 +337,38 @@ def test_cross_backend_frames_bit_identical():
             frames[backend], _ = render_full(backend, scene, resolver, screen)
         assert frames[BackendKind.RASTER] == frames[BackendKind.SCENEGRAPH]
         assert frames[BackendKind.RASTER] == frames[BackendKind.LEGACY]
+
+
+@pytest.mark.parametrize("backend", list(BackendKind), ids=lambda b: b.value)
+def test_each_photo_is_footprinted_once_per_render_begin_and_end(monkeypatch, backend):
+    """A full render, a session's begin and its end each make one
+    footprint per photo, which both the paint pass and the charge read;
+    the charges are those of the redraw rule."""
+    from scrapbook import backends
+    scene, sources = overlapping_scene(random.Random(7))
+    screen = ScreenSpec.identity(300, 240)
+    made = []
+    footprint = backends.footprint
+
+    def counted(photo, screen, center=None):
+        made.append(photo.id)
+        return footprint(photo, screen, center)
+
+    monkeypatch.setattr(backends, "footprint", counted)
+    _, cost = render_full(backend, scene, sources, screen)
+    assert sorted(made) == ["a", "b", "c", "d"]
+    monkeypatch.undo()
+    assert cost.work_units == redraw_units(backend, scene.photos, screen)
+
+    monkeypatch.setattr(backends, "footprint", counted)
+    made.clear()
+    session = begin_interaction(backend, scene, sources, screen, "a")
+    assert sorted(made) == ["a", "b", "c", "d"]
+    session.update((100.0, 100.0))
+    made.clear()
+    _, cost = session.end((120.0, 70.0))
+    assert sorted(made) == ["a", "b", "c", "d"]
+    monkeypatch.undo()
+    want = (draw_units(scene.photo("a"), screen) if backend.retained
+            else redraw_units(backend, scene.photos, screen))
+    assert cost.work_units == want

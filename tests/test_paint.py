@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scrapbook import backends
 from scrapbook import effects as fx
 from scrapbook import raster
-from scrapbook.backends import BackendKind, _paint, render_full
+from scrapbook.backends import BackendKind, _paint, _place, render_full
 from scrapbook.geometry import Rect
 from scrapbook.image import RasterImage
 from scrapbook.photo import EmptyCropError, PhotoObject
@@ -94,13 +94,13 @@ def test_paint_equals_plain_back_to_front_paint(scene):
     photos, sources, screen, damage = scene
     want = plain_paint(photos, sources.__getitem__, screen)
     if damage is None:
-        got = _paint(photos, sources.__getitem__, screen)
+        got = _paint(_place(photos, sources.__getitem__, screen), screen)
     else:
         # Inside the damage box a repaint over an old frame; outside, the
         # old frame untouched.
         old = Frame(screen.width, screen.height)
         old.rgb[:] = np.random.default_rng(0).integers(0, 256, old.rgb.shape, dtype=np.uint8)
-        got = _paint(photos, sources.__getitem__, screen, old.copy(), damage)
+        got = _paint(_place(photos, sources.__getitem__, screen), screen, old.copy(), damage)
         box = damage.intersect(Rect(0, 0, screen.width, screen.height))
         keep = np.ones((screen.height, screen.width), dtype=bool)
         keep[box.y:box.y2, box.x:box.x2] = False

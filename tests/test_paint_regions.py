@@ -9,18 +9,19 @@ whole screen and inside a damage box, on random stacks of opaque and
 translucent, rotated and axis-aligned photos.  Every generator is
 derandomized.  The rest checks the region's own contract: disjoint rects
 inside the photo's box and the painted area whose union is exactly its
-uncovered tiles, identical tile rows merged, and one draw call per
-drawn photo.
+uncovered tiles, identical tile rows merged, and draw calls on runs
+of it.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrapbook import backends
-from scrapbook.backends import TILE, BackendKind, _paint, _region, _visible, render_full
+from scrapbook.backends import TILE, BackendKind, _paint, _place, _region, _visible, render_full
 from scrapbook.geometry import Rect
 from scrapbook.image import RasterImage
 from scrapbook.photo import PhotoObject
@@ -70,7 +71,7 @@ def bbox_paint(photos, sources, screen, frame=None, damage=None):
                 bbox_visible(placed, area, screen)]
 
     with mock.patch.object(backends, "_visible", visible):
-        return _paint(photos, sources, screen, frame, damage)
+        return _paint(_place(photos, sources, screen), screen, frame, damage)
 
 
 def plain_damage_paint(photos, sources, screen, old, damage):
@@ -141,12 +142,12 @@ def test_regions_equal_the_bounding_rect_clip_and_the_plain_paint(stack):
     photos, sources, screen, damage = stack
     resolve = sources.__getitem__
     if damage is None:
-        got = _paint(photos, resolve, screen)
+        got = _paint(_place(photos, resolve, screen), screen)
         oracle = bbox_paint(photos, resolve, screen)
         plain = plain_paint(photos, resolve, screen)
     else:
         old = noise_frame(screen)
-        got = _paint(photos, resolve, screen, old.copy(), damage)
+        got = _paint(_place(photos, resolve, screen), screen, old.copy(), damage)
         oracle = bbox_paint(photos, resolve, screen, old.copy(), damage)
         plain = plain_damage_paint(photos, resolve, screen, old, damage)
     assert got == oracle
@@ -221,14 +222,16 @@ def tile_photo(pid, source, col, row, angle=0.0):
                        center=(col * TILE + TILE / 2.0, row * TILE + TILE / 2.0))
 
 
-def checkerboard_scene(n=8):
-    """A translucent photo the size of the screen under opaque one-tile
-    photos on every other tile: its region is one rect per open tile."""
-    sources = {"under": RasterImage.filled(4, 4, (200, 30, 30, 128)),
+def checkerboard_scene(n=8, under_side=4):
+    """A translucent photo the size of the screen, from a square source of
+    `under_side` texels, under opaque one-tile photos on every other tile:
+    its region is one rect per open tile."""
+    sources = {"under": RasterImage.filled(under_side, under_side, (200, 30, 30, 128)),
                "tile": RasterImage.filled(TILE, TILE, (10, 90, 200, 255))}
     scene = SceneDocument()
-    scene.add_photo(PhotoObject(id="under", source="under", source_size=(4, 4),
-                                scale=n * TILE / 4.0, angle=0.0,
+    scene.add_photo(PhotoObject(id="under", source="under",
+                                source_size=(under_side, under_side),
+                                scale=n * TILE / under_side, angle=0.0,
                                 center=(n * TILE / 2.0, n * TILE / 2.0)))
     for row in range(n):
         for col in range(row % 2, n, 2):
@@ -308,24 +311,44 @@ def test_an_end_damage_box_that_cuts_through_tiles():
         scene.replace_photo(PhotoObject(id="drag", source="drag", source_size=(10, 6),
                                         scale=4.3, angle=23.0, center=(40.0, 40.0)))
     old = noise_frame(screen)
-    got = _paint(scene.photos, sources.__getitem__, screen, old.copy(), damage)
+    got = _paint(_place(scene.photos, sources.__getitem__, screen), screen, old.copy(), damage)
     assert got == bbox_paint(scene.photos, sources.__getitem__, screen, old.copy(), damage)
 
 
-def test_paint_calls_draw_photo_once_per_drawn_photo_by_its_module_name():
-    """The draw goes through `backends.draw_photo` as looked up at call
-    time, once per drawn photo with that photo's whole region, however
-    many rects the region holds."""
-    scene, sources, screen = checkerboard_scene()
+def corners(rect):
+    return rect.y, rect.x, rect.y2, rect.x2
+
+
+@pytest.mark.parametrize("allowance,draws", [(0, 32), (backends.WINDOW_ALLOWANCE, 1)],
+                         ids=["split", "joined"])
+def test_paint_draws_each_photo_on_runs_of_its_region_by_its_module_name(allowance, draws):
+    """The draws go through `backends.draw_photo` as looked up at call
+    time.  Each photo's draws are consecutive and back-to-front, and their
+    regions are disjoint runs of the photo's region that together are all
+    of it: one run per open tile when no texel may be wasted, one run of
+    all 32 tiles at the allowance."""
+    scene, sources, screen = checkerboard_scene(under_side=128)
     calls = []
     draw = backends.draw_photo
 
     def logged_draw(frame, photo, content, screen, region, *rest):
-        calls.append((photo.id, len(region)))
+        calls.append((photo.id, region))
         draw(frame, photo, content, screen, region, *rest)
 
-    with mock.patch.object(backends, "draw_photo", logged_draw):
+    with mock.patch.object(backends, "draw_photo", logged_draw), \
+            mock.patch.object(backends, "WINDOW_ALLOWANCE", allowance):
         frame, _ = render_full(BackendKind.RASTER, scene, sources.__getitem__, screen)
-    assert [pid for pid, _ in calls] == [p.id for p in scene.photos]
-    assert calls[0] == ("under", 32)
+    ids = [pid for pid, _ in calls]
+    assert [pid for k, pid in enumerate(ids) if k == 0 or pid != ids[k - 1]] == [
+        p.id for p in scene.photos]
+    assert ids.count("under") == draws
+    regions = regions_by_id(scene.photos, sources, screen, Rect(0, 0, 128, 128))
+    assert len(regions["under"]) == 32
+    for photo in scene.photos:
+        drawn = [rect for pid, region in calls if pid == photo.id for rect in region]
+        hits = np.zeros((screen.height, screen.width), dtype=np.int64)
+        for rect in drawn:
+            hits[rect.y:rect.y2, rect.x:rect.x2] += 1
+        assert hits.max() == 1, photo.id
+        assert sorted(drawn, key=corners) == sorted(regions[photo.id], key=corners), photo.id
     assert frame == plain_paint(scene.photos, sources.__getitem__, screen)

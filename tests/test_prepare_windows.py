@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from scrapbook import backends
 from scrapbook import effects as fx
-from scrapbook.backends import BackendKind, _paint
+from scrapbook.backends import BackendKind, _paint, _place
 from scrapbook.geometry import Rect
 from scrapbook.image import RasterImage
 from scrapbook.photo import PhotoObject
@@ -194,8 +194,8 @@ def test_a_windowed_paint_equals_the_plain_paint_on_every_backend(stack):
     want = (plain_paint(photos, resolve, screen) if damage is None
             else plain_damage_paint(photos, resolve, screen, old, damage))
     for prepare in prepare_steps(photos):
-        got = _paint(photos, resolve, screen, None if damage is None else old.copy(),
-                     damage, prepare)
+        got = _paint(_place(photos, resolve, screen), screen,
+                     None if damage is None else old.copy(), damage, prepare)
         assert got == want
 
 
@@ -294,7 +294,7 @@ def test_sepia_on_one_texel_windows_matches_the_whole_content_draw():
         got = Frame(side, side)
         for k in range(len(colours)):
             y, x = divmod(k, side)
-            _paint([photo], resolve, screen, got, Rect(x, y, 1, 1), prepare)
+            _paint(_place([photo], resolve, screen), screen, got, Rect(x, y, 1, 1), prepare)
             assert got.array[y, x].tolist() == want.array[y, x].tolist(), colours[k]
 
 
@@ -326,6 +326,6 @@ def test_the_paint_prepares_only_the_sampled_window():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(backends, "prepare_content", logged)
-        frame = _paint([photo], {"s": source}.__getitem__, screen)
+        frame = _paint(_place([photo], {"s": source}.__getitem__, screen), screen)
     assert prepared == [(Rect(20, 15, 10, 5), (40, 30))]
     assert frame == plain_paint([photo], {"s": source}.__getitem__, screen)
