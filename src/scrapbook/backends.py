@@ -20,13 +20,14 @@ merged.  A tile counts as covered only where the rasterizer provably
 writes every pixel of it (see `raster`), so frames are bit-identical to
 drawing every photo in full.  Each kept photo is also prepared only in
 part, on a few windows.  Its rects, in region order, fall into runs,
-each with its window, the bounding rect of the content texels the run
-samples: a rect joins the run before it when their joint window costs at
-most WINDOW_ALLOWANCE texels more than the two apart, and the photo keeps
-one window unless splitting saves more than that per extra window (see
-_groups).  Each run's prepare step is given its window and runs the
-chain on it mapped back through it, so its effects, its source read and
-any routed request cover only that window; then the run is drawn.
+each a plan with its window, the bounding rect of the content texels the
+run samples: a rect joins the run before it when their joint window
+costs at most WINDOW_ALLOWANCE texels more than the two apart, and the
+photo keeps one window unless splitting saves more than that per extra
+window (see _groups).  Each run's prepare step is given its window and
+runs the chain on it mapped back through it, so its effects, its source
+read and any routed request cover only that window; then the run is
+drawn from exactly that window.
 Every strategy runs the same pixel code:
 an `end` copies the session's static layer and repaints only the box at
 rest, through the same pass.  Strategies differ only in their capability
@@ -141,14 +142,14 @@ def report(units: int, throughput: float = DEFAULT_THROUGHPUT, frames: int = 1) 
 
 # --- work-unit arithmetic (pure; used by renders and by the harness) ---
 
-def screen_bbox(photo: PhotoObject, screen: ScreenSpec, center=None) -> Rect:
-    """Outward-rounded screen box of the photo, optionally at an
-    overridden centre: the pixels one draw may touch."""
-    return footprint(photo, screen, center).box
+def screen_bbox(photo: PhotoObject, screen: ScreenSpec) -> Rect:
+    """Outward-rounded screen box of the photo: the pixels one draw may
+    touch."""
+    return footprint(photo, screen).box
 
 
-def draw_units(photo: PhotoObject, screen: ScreenSpec, center=None) -> int:
-    return screen_bbox(photo, screen, center).area
+def draw_units(photo: PhotoObject, screen: ScreenSpec) -> int:
+    return screen_bbox(photo, screen).area
 
 
 def runs_chain(backend: BackendKind, photo: PhotoObject) -> bool:
@@ -166,16 +167,9 @@ def redraw_units(backend: BackendKind, photos, screen: ScreenSpec, boxes=None) -
     return units + sum(box.area + effect_pixels(p) for p, box in zip(photos, boxes))
 
 
-def update_units(backend: BackendKind, photo: PhotoObject, screen: ScreenSpec,
-                 old_center, new_center) -> int:
+def _frame_units(backend: BackendKind, photo: PhotoObject, left: Rect, entered: Rect) -> int:
     """A drag frame: the box left and the box entered; raster also
     re-applies the chain."""
-    return _frame_units(backend, photo, screen_bbox(photo, screen, old_center),
-                        screen_bbox(photo, screen, new_center))
-
-
-def _frame_units(backend: BackendKind, photo: PhotoObject, left: Rect, entered: Rect) -> int:
-    """update_units from the boxes left and entered."""
     units = left.area + entered.area
     if not backend.retained:
         units += effect_pixels(photo)
@@ -204,6 +198,8 @@ def attr_change_units(backend: BackendKind, scene: SceneDocument, screen: Screen
 # --- pixel-producing entry points ---
 
 SourceResolver = Callable[[str], RasterImage]
+# prepare(photo, source, window): exactly the texels of `window` of the
+# photo's content, as an image of the window's size; the draw checks the size.
 PrepareStep = Callable[[PhotoObject, RasterImage, Rect], RasterImage]
 
 
@@ -250,14 +246,14 @@ def _area(r) -> int:
     return (r[2] - r[0]) * (r[3] - r[1])
 
 
-def _groups(drawn: Plan) -> list[tuple[Plan, Rect]]:
-    """The draw split into runs of its rects, each with its window, the
-    union of its rects' texel bounds.  A rect joins the run before it, in
-    region order, when their union window costs at most WINDOW_ALLOWANCE
-    texels more than the two apart.  One run of all the rects, on the
-    union of all their bounds, when the runs' texels plus one allowance
-    per extra window reach that union's; none when the draw writes no
-    pixel."""
+def _groups(drawn: Plan) -> list[Plan]:
+    """The draw split into runs of its rects, each a Plan whose window is
+    the union of its rects' texel bounds.  A rect joins the run before it,
+    in region order, when their union window costs at most
+    WINDOW_ALLOWANCE texels more than the two apart.  One run of all the
+    rects, on the union of all their bounds, when the runs' texels plus
+    one allowance per extra window reach that union's; none when the draw
+    writes no pixel."""
     bounds = drawn.bounds
     if not len(bounds):
         return []
@@ -274,7 +270,8 @@ def _groups(drawn: Plan) -> list[tuple[Plan, Rect]]:
             >= _area(whole):
         runs = [[0, whole]]
     starts = [k for k, _ in runs] + [len(drawn.rects)]
-    return [(drawn if len(runs) == 1 else drawn.sub(k0, k1), Rect(x0, y0, x1 - x0, y1 - y0))
+    return [(drawn if len(runs) == 1 else drawn.sub(k0, k1))._replace(
+                window=Rect(x0, y0, x1 - x0, y1 - y0))
             for k0, k1, (_, (x0, y0, x1, y1)) in zip(starts, starts[1:], runs)]
 
 
@@ -336,10 +333,10 @@ def _paint(placed, screen: ScreenSpec, frame: Frame | None = None,
     drawn on its region, the tiles where it may show.  Each drawn photo is
     planned once (raster.plan): its box, its region cut to the box, its
     lookups and each rect's texel bounds.  Its rects are then split into a
-    few runs (see _groups), and each run is prepared as prepare(photo,
-    source, window), with the window its rects sample, and drawn on the
-    same plan's lookups; a photo whose region writes no pixel is neither
-    prepared nor drawn.
+    few runs (see _groups), each a plan with the window its rects sample;
+    each run is prepared as prepare(photo, source, window) and drawn on
+    the same plan's lookups; a photo whose region writes no pixel is
+    neither prepared nor drawn.
     """
     if frame is None:
         frame = Frame(screen.width, screen.height)
@@ -352,8 +349,8 @@ def _paint(placed, screen: ScreenSpec, frame: Frame | None = None,
         crop = crop_rect(photo, source)
         drawn = plan(photo, screen, region, fp,
                      chain_output_size(crop.w, crop.h, photo.effects))
-        for part, window in _groups(drawn):
-            draw_photo(frame, photo, prepare(photo, source, window), screen, part.region, part)
+        for part in _groups(drawn):
+            draw_photo(frame, photo, prepare(photo, source, part.window), screen, part)
     return frame
 
 
@@ -412,7 +409,7 @@ class InteractionSession:
         """Draw the content whole onto the live surface at `_fp`, the
         photo's footprint."""
         size = (self._content.width, self._content.height)
-        draw_photo(self._work, photo, self._content, self.screen, None,
+        draw_photo(self._work, photo, self._content, self.screen,
                    plan(photo, self.screen, None, self._fp, size))
 
     def update(self, new_center) -> tuple[Frame, CostReport]:

@@ -9,8 +9,8 @@ inside the photo's rotated footprint the source texel is looked up through
 the inverse transform.  Compositing is source-over against the opaque
 frame with round-half-up channel math.
 
-The kernel's cost follows the pixels it writes.  A draw may be given a
-region, a list of disjoint rects, and then runs on each rect of it only.
+The kernel's cost follows the pixels it writes.  A draw may be planned on
+a region, a list of disjoint rects, and then runs on each rect of it only.
 Everything a draw needs besides the pixels is made once, by `plan`: the
 box, the region's rects cut to it, and the lookups or cut spans below,
 from which it reads each rect's texel bounds.  The paint pass makes one
@@ -78,16 +78,16 @@ of its rects is a union of whole tiles.
 
 A draw need not have its whole content.  The plan bounds, per rect, the
 texels that rect's pixels may sample (`Plan.bounds`); a run of rects
-samples only texels in the union of its rects' bounds, its window.  The
-paint pass gives
-each run's window to the photo's prepare step, which makes only those
-texels (see `prepare_content`) and reads only the source rect they map
-back to.  The draw samples such a ContentWindow at an integer offset:
-the texel formula keeps the whole content's size, and the window's
-origin is subtracted from each index, only when the window is not the
-whole content.  The bound is exact in the sense that it never misses a
-texel.  texel = floor(l / s * size), computed as the draw computes it, is
-monotone in l, and l is affine in the pixel centre:
+samples only texels in the union of its rects' bounds, its window.  A
+run is a plan with that window (`Plan.window`; `plan` gives the whole
+content).  The paint pass gives each run's window to the photo's prepare
+step, which makes exactly those texels (see `prepare_content`) and reads
+only the source rect they map back to.  The draw samples the content at
+the plan window's offset: the texel formula keeps the whole content's
+size, and the window's origin is subtracted from each index.  The bound
+is exact in the sense that it never misses a texel.  texel = floor(l / s
+* size), computed as the draw computes it, is monotone in l, and l is
+affine in the pixel centre:
 - An axis-aligned draw slices the plan's column and row lookups per
   rect; they are monotone, so a rect samples exactly the texels between
   the lookups of its first and last columns and rows.
@@ -166,42 +166,24 @@ def crop_rect(photo: PhotoObject, source: RasterImage) -> Rect:
     return rect
 
 
-class ContentWindow(RasterImage):
-    """Part of a photo's content: its pixels are the texels of `rect` of a
-    content of `size`, (width, height)."""
-
-    __slots__ = ("rect", "size")
-
-    @classmethod
-    def of(cls, image: RasterImage, rect: Rect, size) -> "ContentWindow":
-        window = cls._adopt(image.array)
-        window.rect, window.size = rect, size
-        return window
-
-    def copy(self) -> "ContentWindow":
-        return self.of(RasterImage.from_array(self.array), self.rect, self.size)
-
-
 def prepare_content(photo: PhotoObject, source: RasterImage, window: Rect | None = None,
                     apply=None) -> RasterImage:
     """Crop the source and run the effect chain, each step through
     apply(image, spec) (apply_effect by default): the photo's texture.
 
-    Given a `window` of the content, only its texels are made, as a
-    ContentWindow, unless the window is the whole content: the chain runs
+    Given a `window` of the content, the whole content by default, exactly
+    its texels are made, as an image of the window's size: the chain runs
     on the window mapped back through it (effects.chain_window), whose
-    input rect alone is read from the source (RasterImage.read), and its
-    texels equal the same window of the whole content.
+    input rect alone is read from the source (RasterImage.read), and each
+    texel equals the same texel of the whole content.
     """
     rect = crop_rect(photo, source)
-    size = chain_output_size(rect.w, rect.h, photo.effects)
-    whole = Rect(0, 0, *size)
-    window = whole if window is None else window
+    if window is None:
+        window = Rect(0, 0, *chain_output_size(rect.w, rect.h, photo.effects))
     src, steps = chain_window(rect.w, rect.h, photo.effects, window)
     # The read is already a copy, so an empty chain needs no second one.
     crop = None if src.is_empty() else source.read(rect.x + src.x, rect.y + src.y, src.w, src.h)
-    content = run_window(crop, steps, apply)
-    return content if window == whole else ContentWindow.of(content, window, size)
+    return run_window(crop, steps, apply)
 
 
 def is_opaque(photo: PhotoObject, source: RasterImage) -> bool:
@@ -282,17 +264,17 @@ def footprint(photo: PhotoObject, screen: ScreenSpec, center=None) -> Footprint:
 
 
 def covered_tiles(photo: PhotoObject, screen: ScreenSpec, xs: np.ndarray,
-                  ys: np.ndarray, fp: Footprint | None = None) -> np.ndarray:
+                  ys: np.ndarray, fp: Footprint) -> np.ndarray:
     """Which tiles draw_photo writes in full: tile (i, j) holds the columns
     xs[j] to xs[j+1] and the rows ys[i] to ys[i+1], every tile non-empty.
-    `fp` is the photo's footprint, made here when not given.
+    `fp` is the photo's footprint.
 
     Each tile row's covered tiles are one run: those whose first and last
     column lie in the inset spans of the tile row's first and last pixel
     rows (see the module docstring); the answer errs only towards not
     covered.
     """
-    cx, cy, sw, sh, _ = fp or footprint(photo, screen)
+    cx, cy, sw, sh, _ = fp
     cos_t, sin_t = _rotation(photo)
     margin = 2.0 * _slack(cx, cy, sw, sh, screen.width, screen.height)
     # Centres of each tile row's first and last pixel row, and where along
@@ -311,7 +293,9 @@ class Plan(NamedTuple):
     """A draw made once, by `plan`: the photo's footprint and rotation, its
     box on the screen, the whole content's (width, height), the region's
     rects cut to where the draw may write, as an (n, 4) array of x0, y0,
-    x1, y1, and the lookups the draw reads on them.
+    x1, y1, the lookups the draw reads on them, and the window, the rect
+    of the content's texels the draw is given: the whole content, as
+    `plan` makes it, or a run's (see backends._groups).
 
     An axis-aligned draw's lookups are (bx, by, sx, sy): its block of
     pixels inside the footprint starts at (bx, by), and sx and sy give the
@@ -329,6 +313,7 @@ class Plan(NamedTuple):
     size: tuple[int, int]
     rects: np.ndarray
     lookups: tuple
+    window: Rect
 
     @property
     def bounds(self) -> np.ndarray:
@@ -365,13 +350,9 @@ class Plan(NamedTuple):
         (x0, x1), (y0, y1) = reduced(lx, sw, self.size[0]), reduced(ly, sh, self.size[1])
         return np.stack([x0, y0, x1, y1], axis=1)
 
-    @property
-    def region(self) -> list[Rect]:
-        """The rects as Rects."""
-        return [Rect(x0, y0, x1 - x0, y1 - y0) for x0, y0, x1, y1 in self.rects.tolist()]
-
     def sub(self, k0: int, k1: int) -> "Plan":
-        """The plan of the draw on rects k0 to k1 only, on the same lookups."""
+        """The plan of the draw on rects k0 to k1 only, on the same lookups
+        and window."""
         lookups = self.lookups
         if self.rotation != (1.0, 0.0):
             rows, lo, hi, starts, *rest = lookups
@@ -395,7 +376,7 @@ def plan(photo: PhotoObject, screen: ScreenSpec, region, fp: Footprint,
     else:
         eps = _slack(fp.cx, fp.cy, fp.sw, fp.sh, screen.width, screen.height)
         rects, lookups = _plan_rotated(fp, box, corners, cos_t, sin_t, eps)
-    return Plan(fp, rotation, box, size, rects, lookups)
+    return Plan(fp, rotation, box, size, rects, lookups, Rect(0, 0, *size))
 
 
 def _cut(corners: np.ndarray, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
@@ -462,43 +443,38 @@ def _texels(v: np.ndarray, s: float, size: int) -> np.ndarray:
 
 
 def draw_photo(frame: Frame, photo: PhotoObject, content: RasterImage,
-               screen: ScreenSpec, region=None, planned: Plan | None = None) -> None:
+               screen: ScreenSpec, planned: Plan | None = None) -> None:
     """Composite prepared content onto the frame at the photo's transform.
 
-    `region`, when given, is a sequence of disjoint Rects.  Pixels outside
-    the rotated footprint, and outside every rect of the region, are
-    untouched; a pixel inside both is written exactly as by a draw without
-    a region.  `content` may be a ContentWindow that holds every texel the
-    draw samples (the union of its plan's bounds): it is sampled at its
-    window's offset.  `planned` is the draw's Plan on the same region and the
-    content's size, made here when not given; the kernel then runs on
-    each of its rects.
+    `planned` is the draw's Plan, made here when not given, on the whole
+    box and with `content` as the whole content; the kernel runs on each
+    of its rects.  Pixels outside the rotated footprint, and outside every
+    rect, are untouched; a pixel inside both is written exactly as by a
+    draw on the whole box from the whole content.  `content` holds exactly
+    the texels of the plan's window, which the draw samples at the
+    window's offset; content of another size raises ValueError.
     """
-    (width, height), origin = _extent(content)
     if planned is None:
-        planned = plan(photo, screen, region, footprint(photo, screen), (width, height))
+        planned = plan(photo, screen, None, footprint(photo, screen),
+                       (content.width, content.height))
+    window = planned.window
+    if (content.width, content.height) != (window.w, window.h):
+        raise ValueError(f"photo {photo.id!r}: content is {content.width}x{content.height}, "
+                         f"its plan's window {window.w}x{window.h}")
     if not len(planned.rects):
         return
     if planned.rotation == (1.0, 0.0):
-        _draw_axis(frame, content, planned, origin)
+        _draw_axis(frame, content, planned)
     else:
-        _draw_rotated(frame, content, planned, origin)
+        _draw_rotated(frame, content, planned)
 
 
-def _extent(content: RasterImage):
-    """The whole content's (width, height) and the window's origin, None
-    when `content` is the whole content."""
-    if isinstance(content, ContentWindow):
-        return content.size, (content.rect.x, content.rect.y)
-    return (content.width, content.height), None
-
-
-def _draw_axis(frame: Frame, content: RasterImage, planned: Plan, origin) -> None:
+def _draw_axis(frame: Frame, content: RasterImage, planned: Plan) -> None:
     """An axis-aligned draw on its rects: the texel lookup separates into
-    one column and one row lookup over the block, sliced per rect."""
+    one column and one row lookup over the block, sliced per rect, each
+    taken relative to the window."""
     bx, by, sx, sy = planned.lookups
-    if origin is not None:
-        sx, sy = sx - origin[0], sy - origin[1]
+    sx, sy = sx - planned.window.x, sy - planned.window.y
     texels, pixels = content.packed, frame.packed
     for x0, y0, x1, y1 in planned.rects.tolist():
         _composite(pixels, (slice(y0, y1), slice(x0, x1)),
@@ -527,7 +503,7 @@ def _row_spans(fp: Footprint, box: Rect, cos_t: float, sin_t: float, eps: float)
     return x0, x1, py_sin, py_cos, px * cos_t, -px * sin_t
 
 
-def _draw_rotated(frame: Frame, content: RasterImage, planned: Plan, origin) -> None:
+def _draw_rotated(frame: Frame, content: RasterImage, planned: Plan) -> None:
     """A rotated draw on its rects, from the plan's cut spans and per-row
     and per-column products: bands of rows on each rect."""
     _, _, sw, sh, _ = planned.fp
@@ -535,6 +511,9 @@ def _draw_rotated(frame: Frame, content: RasterImage, planned: Plan, origin) -> 
     width, height = planned.size
     _, lo, hi, starts, _, py_sin, py_cos, col_cos, col_sin = planned.lookups
     cw = content.width
+    # Texel (x, y) of the content is texel (x - window.x, y - window.y) of
+    # the window, at flat index y * cw + x - shift, exact in integers.
+    shift = planned.window.y * cw + planned.window.x
     texels = content.packed.reshape(-1)
     pixels = frame.packed
 
@@ -566,11 +545,10 @@ def _draw_rotated(frame: Frame, content: RasterImage, planned: Plan, origin) -> 
                 v /= s
                 v *= size
             sx, sy = lx.astype(np.intp), ly.astype(np.intp)
-            if origin is not None:
-                sx -= origin[0]
-                sy -= origin[1]
             sy *= cw
             sy += sx
+            if shift:
+                sy -= shift
             got = texels.take(sy, mode="clip")
             dst = pixels[box.y + b0:box.y + b1, box.x + c0:box.x + c1]
             if _all_opaque(got):

@@ -6,7 +6,7 @@ from scrapbook import effects as fx
 from scrapbook.backends import (CAPABILITIES, BackendKind, Capability, SessionError,
                                 UnsupportedEffectError, begin_interaction,
                                 capability_check, draw_units, redraw_units,
-                                render_full, report, update_units)
+                                render_full, report)
 from scrapbook.effects import EffectKind
 from scrapbook.image import RasterImage
 from scrapbook.photo import PhotoObject, move_to
@@ -124,16 +124,18 @@ def test_raster_cost_linear_in_drawn_area():
 
 def test_update_cost_examples():
     screen = ScreenSpec.identity(1024, 768)
-    photo = PhotoObject(id="p", source="s", source_size=(100, 80), center=(300.0, 300.0))
-    plain = update_units(BackendKind.RASTER, photo, screen, (300.0, 300.0), (304.0, 300.0))
-    assert plain == 2 * 8000
-    inverted = PhotoObject(id="p", source="s", source_size=(100, 80),
-                           center=(300.0, 300.0), effects=(fx.invert(),))
-    assert update_units(BackendKind.RASTER, inverted, screen,
-                        (300.0, 300.0), (304.0, 300.0)) == 2 * 8000 + 8000
+
+    def frame_units(backend, effects=()):
+        scene = SceneDocument()
+        scene.add_photo(PhotoObject(id="p", source="s", source_size=(100, 80),
+                                    center=(300.0, 300.0), effects=effects))
+        session = begin_interaction(backend, scene, flat_sources(size=(100, 80)), screen, "p")
+        return session.update((304.0, 300.0))[1].work_units
+
+    assert frame_units(BackendKind.RASTER) == 2 * 8000
+    assert frame_units(BackendKind.RASTER, (fx.invert(),)) == 2 * 8000 + 8000
     for backend in RETAINED:
-        assert update_units(backend, inverted, screen,
-                            (300.0, 300.0), (304.0, 300.0)) == 2 * 8000
+        assert frame_units(backend, (fx.invert(),)) == 2 * 8000
 
 
 def test_begin_cost_is_static_layer_render():

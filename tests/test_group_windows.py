@@ -10,7 +10,12 @@ seeded stacks of `test_paint_regions`, whose regions hold many rects:
   rects, to lie in the run's window;
 - each run's window to lie in the photo's single bounding window, the
   runs to be the plan's rects in order, and the runs' texels never to
-  exceed the single window's plus one allowance per extra window.
+  exceed the single window's plus one allowance per extra window;
+- each run, a plan with its window, drawn from exactly its window's
+  texels to equal it drawn from the whole content.
+The fixed cases pin that a prepare step may return any image of exactly
+its window's texels, and that content of another size than the plan's
+window is refused.
 The stacks' contents are at most 40 texels a side, below the allowance,
 so each example also runs at allowances small enough to split.  Every
 generator is derandomized.
@@ -19,6 +24,7 @@ generator is derandomized.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +36,7 @@ from scrapbook.effects import chain_output_size
 from scrapbook.geometry import Rect
 from scrapbook.image import RasterImage
 from scrapbook.photo import PhotoObject
-from scrapbook.raster import crop_rect, plan
+from scrapbook.raster import Frame, crop_rect, draw_photo, footprint, plan, prepare_content
 from scrapbook.scene import SceneDocument
 from scrapbook.service import LocalClient, resolve_scene
 from scrapbook.viewport import ScreenSpec
@@ -123,8 +129,9 @@ def test_each_group_window_holds_every_texel_its_rects_sample(stack, allowance):
     photos, sources, screen, damage = stack
     for _, drawn in plans(photos, sources, screen, damage):
         groups = groups_at(allowance, drawn)
-        assert [r for part, _ in groups for r in part.rects.tolist()] == drawn.rects.tolist()
-        for part, window in groups:
+        assert [r for part in groups for r in part.rects.tolist()] == drawn.rects.tolist()
+        for part in groups:
+            window = part.window
             assert not window.is_empty() and inside(window, single_window(drawn)), window
             texels = sampled_texels(drawn, part)
             if len(texels):
@@ -137,7 +144,7 @@ def test_each_group_window_holds_every_texel_its_rects_sample(stack, allowance):
 def test_groups_never_cost_more_than_the_single_window_and_the_allowance(stack, allowance):
     photos, sources, screen, damage = stack
     for _, drawn in plans(photos, sources, screen, damage):
-        windows = [window for _, window in groups_at(allowance, drawn)]
+        windows = [part.window for part in groups_at(allowance, drawn)]
         if not windows:
             assert not len(drawn.rects)
             continue
@@ -171,7 +178,7 @@ def test_a_framed_photo_is_prepared_on_four_windows_on_every_backend():
     resolve = sources.__getitem__
     (_, drawn), = [case for case in plans(scene.photos, sources, screen, None)
                    if case[0].id == "big"]
-    windows = [window for _, window in _groups(drawn)]
+    windows = [part.window for part in _groups(drawn)]
     assert len(windows) == 4
     assert sum(w.area for w in windows) < single_window(drawn).area // 4
     want = plain_paint(scene.photos, resolve, screen)
@@ -186,3 +193,65 @@ def test_a_framed_photo_is_prepared_on_four_windows_on_every_backend():
         frame, _ = render_full(backend, scene, resolve, screen, prepare=logged)
         assert frame == want, backend
         assert [w for pid, w in prepared if pid == "big"] == windows, backend
+
+
+# --- a run is a plan with its window ----------------------------------------------
+
+@PROPERTY
+@given(STACKS, st.sampled_from([0, WINDOW_ALLOWANCE]))
+def test_each_run_drawn_from_its_window_equals_it_drawn_from_the_whole_content(stack,
+                                                                               allowance):
+    photos, sources, screen, damage = stack
+    old = noise_frame(screen)
+    for photo, drawn in plans(photos, sources, screen, damage):
+        whole = prepare_content(photo, sources[photo.source])
+        assert (whole.width, whole.height) == drawn.size
+        for part in groups_at(allowance, drawn):
+            w = part.window
+            want, got = old.copy(), old.copy()
+            draw_photo(want, photo, whole, screen, part._replace(window=Rect(0, 0, *drawn.size)))
+            draw_photo(got, photo, whole.read(w.x, w.y, w.w, w.h), screen, part)
+            assert got == want, (photo, w)
+
+
+@pytest.mark.parametrize("angle", [0.0, 30.0])
+def test_a_prepare_step_may_return_a_plain_image_of_its_window(angle):
+    """PrepareStep's contract is exactly the window's texels, as an image
+    of the window's size: a step that copies them into a plain RasterImage
+    renders the plain paint's frame, axis-aligned and rotated."""
+    source = RasterImage.from_array(
+        np.random.default_rng(7).integers(0, 256, (30, 40, 4), dtype=np.uint8))
+    source.array[:, :, 3] = 255
+    scene = SceneDocument()
+    scene.add_photo(PhotoObject(id="p", source="s", source_size=(40, 30), scale=2.0,
+                                angle=angle, center=(0.0, 0.0), effects=(fx.sharpen(),)))
+    screen = ScreenSpec.identity(30, 20)
+    resolve = {"s": source}.__getitem__
+    windows = []
+
+    def plain_step(photo, source, window):
+        windows.append(window)
+        return RasterImage.from_array(prepare_content(photo, source, window).array)
+
+    frame, _ = render_full(BackendKind.RASTER, scene, resolve, screen, prepare=plain_step)
+    # Only the photo's lower right shows, so no window starts at the origin.
+    assert windows and all(w.x > 0 and w.y > 0 for w in windows), windows
+    assert frame == plain_paint(scene.photos, resolve, screen)
+
+
+@pytest.mark.parametrize("angle", [0.0, 30.0])
+def test_content_whose_size_is_not_the_plan_window_raises(angle):
+    photo = PhotoObject(id="p", source="s", source_size=(40, 30), angle=angle,
+                        center=(20.0, 15.0))
+    screen = ScreenSpec.identity(40, 30)
+    content = RasterImage.filled(40, 30, (0, 0, 0, 255))
+    fp = footprint(photo, screen)
+    whole = plan(photo, screen, None, fp, (40, 30))
+    part = whole._replace(window=Rect(5, 5, 10, 10))
+    frame = Frame(40, 30)
+    for given_content, planned in [(content, part), (content.read(5, 5, 10, 10), whole),
+                                   (content, plan(photo, screen, [], fp, (40, 30))._replace(
+                                       window=part.window))]:
+        with pytest.raises(ValueError, match="window 10x10|window 40x30"):
+            draw_photo(frame, photo, given_content, screen, planned)
+    assert frame == Frame(40, 30)

@@ -133,7 +133,7 @@ def test_a_covered_tile_is_drawn_in_full(data):
     frame = Frame(screen.width, screen.height)
     draw_photo(frame, photo, RasterImage.filled(*photo.source_size, (0, 0, 0, 255)), screen)
     drawn = (frame.rgb == 0).all(axis=2)
-    for i, j in np.argwhere(covered_tiles(photo, screen, xs, ys)):
+    for i, j in np.argwhere(covered_tiles(photo, screen, xs, ys, footprint(photo, screen))):
         assert drawn[ys[i]:ys[i + 1], xs[j]:xs[j + 1]].all(), (i, j)
 
 
@@ -158,7 +158,7 @@ def test_per_row_covered_tiles_are_a_subset_of_the_corner_form(data):
     """The per-tile-row answer may differ from the corner form only
     towards not covered."""
     photo, screen, xs, ys = _tiled_photo(data.draw)
-    got = covered_tiles(photo, screen, xs, ys)
+    got = covered_tiles(photo, screen, xs, ys, footprint(photo, screen))
     assert got.shape == (len(ys) - 1, len(xs) - 1)
     assert not (got & ~corner_covered_tiles(photo, screen, xs, ys)).any()
 
@@ -172,7 +172,7 @@ def test_per_row_covered_tiles_equal_the_corner_form_away_from_edges(angle):
                         center=(200.3, 150.7))
     xs, ys = np.arange(0, 401, 16).clip(0, 400), np.arange(0, 301, 16).clip(0, 300)
     xs, ys = np.unique(np.append(xs, 400)), np.unique(np.append(ys, 300))
-    got = covered_tiles(photo, screen, xs, ys)
+    got = covered_tiles(photo, screen, xs, ys, footprint(photo, screen))
     assert got.any() and np.array_equal(got, corner_covered_tiles(photo, screen, xs, ys))
 
 

@@ -59,7 +59,7 @@ def bbox_visible(placed, area, screen):
         y0, y1 = ys[r0 + open_rows[0]], ys[r0 + open_rows[-1] + 1]
         kept.append((photo, source, fp, Rect(int(x0), int(y0), int(x1 - x0), int(y1 - y0))))
         if is_opaque(photo, source):
-            under |= covered_tiles(photo, screen, xs[c0:c1 + 1], ys[r0:r1 + 1])
+            under |= covered_tiles(photo, screen, xs[c0:c1 + 1], ys[r0:r1 + 1], fp)
     return kept[::-1]
 
 
@@ -195,7 +195,7 @@ def covered_above(photo, photos, sources, screen, area):
     tiles = np.zeros((len(ys) - 1, len(xs) - 1), dtype=bool)
     for above in photos[photos.index(photo) + 1:]:
         if is_opaque(above, sources[above.source]):
-            tiles |= covered_tiles(above, screen, xs, ys)
+            tiles |= covered_tiles(above, screen, xs, ys, footprint(above, screen))
     mask = np.zeros((screen.height, screen.width), dtype=bool)
     mask[area.y:area.y2, area.x:area.x2] = (
         tiles.repeat(np.diff(ys), axis=0).repeat(np.diff(xs), axis=1))
@@ -331,9 +331,9 @@ def test_paint_draws_each_photo_on_runs_of_its_region_by_its_module_name(allowan
     calls = []
     draw = backends.draw_photo
 
-    def logged_draw(frame, photo, content, screen, region, *rest):
-        calls.append((photo.id, region))
-        draw(frame, photo, content, screen, region, *rest)
+    def logged_draw(frame, photo, content, screen, planned):
+        calls.append((photo.id, planned.rects.tolist()))
+        draw(frame, photo, content, screen, planned)
 
     with mock.patch.object(backends, "draw_photo", logged_draw), \
             mock.patch.object(backends, "WINDOW_ALLOWANCE", allowance):
@@ -345,7 +345,8 @@ def test_paint_draws_each_photo_on_runs_of_its_region_by_its_module_name(allowan
     regions = regions_by_id(scene.photos, sources, screen, Rect(0, 0, 128, 128))
     assert len(regions["under"]) == 32
     for photo in scene.photos:
-        drawn = [rect for pid, region in calls if pid == photo.id for rect in region]
+        drawn = [Rect(x0, y0, x1 - x0, y1 - y0) for pid, rects in calls if pid == photo.id
+                 for x0, y0, x1, y1 in rects]
         hits = np.zeros((screen.height, screen.width), dtype=np.int64)
         for rect in drawn:
             hits[rect.y:rect.y2, rect.x:rect.x2] += 1

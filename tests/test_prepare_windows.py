@@ -27,7 +27,7 @@ from scrapbook.backends import BackendKind, _paint, _place
 from scrapbook.geometry import Rect
 from scrapbook.image import RasterImage
 from scrapbook.photo import PhotoObject
-from scrapbook.raster import ContentWindow, Frame, crop_rect, prepare_content
+from scrapbook.raster import Frame, crop_rect, prepare_content
 from scrapbook.scene import SceneDocument
 from scrapbook.service import LocalClient, resolve_scene
 from scrapbook.viewport import ScreenSpec, to_standard
@@ -173,10 +173,7 @@ def check_window(photo, source, window):
     for prepare in prepare_steps([photo]):
         got = prepared_window(prepare, photo, source, window)
         assert np.array_equal(got.array, want), (photo.effects, window)
-        if window == Rect(0, 0, whole.width, whole.height):
-            assert not isinstance(got, ContentWindow)
-        else:
-            assert (got.rect, got.size) == (window, (whole.width, whole.height))
+        assert type(got) is RasterImage and (got.width, got.height) == (window.w, window.h)
 
 
 @PROPERTY
@@ -321,11 +318,11 @@ def test_the_paint_prepares_only_the_sampled_window():
 
     def logged(photo, source, window):
         content = prepare(photo, source, window)
-        prepared.append((content.rect, content.size))
+        prepared.append((window, (content.width, content.height)))
         return content
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(backends, "prepare_content", logged)
         frame = _paint(_place([photo], {"s": source}.__getitem__, screen), screen)
-    assert prepared == [(Rect(20, 15, 10, 5), (40, 30))]
+    assert prepared == [(Rect(20, 15, 10, 5), (10, 5))]
     assert frame == plain_paint([photo], {"s": source}.__getitem__, screen)

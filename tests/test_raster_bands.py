@@ -210,7 +210,9 @@ def test_banded_draw_equals_span_draw(n, case, alpha, seed):
     got = want.copy()
     span_draw_photo(want, photo, content, screen, clip)
     with workers(n) if n else nullcontext():
-        draw_photo(got, photo, content, screen, None if clip is None else [clip])
+        draw_photo(got, photo, content, screen, raster.plan(
+            photo, screen, None if clip is None else [clip], footprint(photo, screen),
+            (content.width, content.height)))
     assert got == want, (photo, clip)
 
 

@@ -15,7 +15,7 @@ import pytest
 from scrapbook.geometry import Rect, outward_bbox
 from scrapbook.image import RasterImage
 from scrapbook.photo import PhotoObject, display_size
-from scrapbook.raster import Frame, draw_photo
+from scrapbook.raster import Frame, draw_photo, footprint, plan
 from scrapbook.viewport import ScreenSpec, to_screen, to_standard
 
 CASES = 2000
@@ -196,7 +196,9 @@ def test_clipped_draw_is_the_full_draw_inside_the_clip(block):
         full.rgb[:] = background
         clipped = full.copy()
         draw_photo(full, photo, content, screen)
-        draw_photo(clipped, photo, content, screen, [clip])
+        draw_photo(clipped, photo, content, screen,
+                   plan(photo, screen, [clip], footprint(photo, screen),
+                        (content.width, content.height)))
         inside = np.zeros((screen.height, screen.width), dtype=bool)
         inside[max(y0, 0):max(y1, 0), max(x0, 0):max(x1, 0)] = True
         assert np.array_equal(clipped.rgb[inside], full.rgb[inside]), f"seed {seed}: {clip}"

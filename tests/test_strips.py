@@ -185,7 +185,9 @@ def test_draw_in_many_strips_equals_mgrid_draw(n, data):
     got = want.copy()
     mgrid_draw_photo(want, photo, content, screen)
     with workers(n):
-        draw_photo(got, photo, content, screen, strip_region(fw, fh))
+        draw_photo(got, photo, content, screen, raster.plan(
+            photo, screen, strip_region(fw, fh), raster.footprint(photo, screen),
+            (content.width, content.height)))
     assert got == want, photo
 
 
@@ -207,7 +209,9 @@ def test_translucent_strips_mix_copy_and_blend():
         all_opaque = raster._all_opaque
         with mock.patch.object(raster, "_all_opaque",
                                lambda texels: paths.append(bool(all_opaque(texels))) or paths[-1]):
-            draw_photo(got, photo, content, screen, strip_region(800, 600))
+            draw_photo(got, photo, content, screen, raster.plan(
+                photo, screen, strip_region(800, 600), raster.footprint(photo, screen),
+                (content.width, content.height)))
         assert got == want, angle
         assert set(paths) == {True, False}, angle
 
