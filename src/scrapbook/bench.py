@@ -75,13 +75,16 @@ def _reported(ms: float, quantize: float | None) -> float:
 # --- deterministic image pool -------------------------------------------
 
 def _pattern(width: int, height: int, salt: int) -> RasterImage:
-    ys, xs = np.mgrid[0:height, 0:width]
+    """Channel c of pixel (x, y) is (x * a + y * b + salt * k) % 256, built
+    as a uint8 column term plus a uint8 row term: uint8 addition wraps
+    mod 256, so the sum is exact."""
+    xs, ys = np.arange(width), np.arange(height)
     arr = np.empty((height, width, 4), dtype=np.uint8)
-    arr[:, :, 0] = (xs * 3 + ys * 5 + salt * 29) % 256
-    arr[:, :, 1] = (xs * 7 + ys * 11 + salt * 47) % 256
-    arr[:, :, 2] = (xs * 13 + ys * 17 + salt * 71) % 256
+    for c, (a, b, k) in enumerate(((3, 5, 29), (7, 11, 47), (13, 17, 71))):
+        np.add(((xs * a + salt * k) % 256).astype(np.uint8),
+               ((ys * b) % 256).astype(np.uint8)[:, None], out=arr[:, :, c])
     arr[:, :, 3] = 255
-    return RasterImage.from_array(arr)
+    return RasterImage._adopt(arr)
 
 
 def _flat(width: int, height: int) -> RasterImage:

@@ -19,7 +19,9 @@ once.  Sources are read-only during a render: a file or an array that
 changes under a render may give any mix of old and new pixels.
 
 Pixel kernels that would touch a large image at once run in row strips of
-about STRIP_PX pixels (`_row_strips`), on up to two threads.  Strips are
+about STRIP_PX pixels (`_row_strips`), on up to two threads: the effect
+kernels and encode_ppm.  A large rotated draw hands its bands of rows to
+the same claim loop (`_shared`, see the raster module).  Strips are
 disjoint, each pixel gets the same expression on the same operands as in
 a whole-image pass, and the caller returns only when every strip is done,
 so the result does not depend on the number of workers or on which thread
@@ -164,24 +166,29 @@ def _strip_rows(width: int) -> int:
 
 def _row_strips(height: int, width: int, work) -> None:
     """Run work(r0, r1) on row strips of `_strip_rows(width)` rows that
-    cover rows 0..height of a width-pixel-wide grid.
-
-    A single strip, or a single worker, runs inline in order.  Otherwise
-    the caller and the pool claim strips in order until none is left; a
-    pool task that starts after that finds nothing to do, so the caller
-    never waits for a queued task.  This returns only after every strip
-    has finished, then raises the first strip's error, if any.
-    """
+    cover rows 0..height of a width-pixel-wide grid, through `_shared`."""
     rows = _strip_rows(width)
     bounds = [(r0, min(r0 + rows, height)) for r0 in range(0, height, rows)]
-    if len(bounds) == 1 or _WORKERS == 1:
-        for r0, r1 in bounds:
-            work(r0, r1)
+    _shared(len(bounds), lambda i: work(*bounds[i]))
+
+
+def _shared(count: int, work) -> None:
+    """Run work(i) for each i in 0..count, on the caller and the pool.
+
+    A single task, or a single worker, runs inline in order.  Otherwise
+    the caller and the pool claim tasks in order until none is left; a
+    pool task that starts after that finds nothing to do, so the caller
+    never waits for a queued task.  This returns only after every task
+    has finished, then raises the first task's error, if any.
+    """
+    if count == 1 or _WORKERS == 1:
+        for i in range(count):
+            work(i)
         return
-    claims = iter(range(len(bounds)))
+    claims = iter(range(count))
     lock = threading.Lock()
     finished = threading.Semaphore(0)
-    errors = [None] * len(bounds)
+    errors = [None] * count
 
     def run() -> None:
         while True:
@@ -190,17 +197,17 @@ def _row_strips(height: int, width: int, work) -> None:
             if i is None:
                 return
             try:
-                work(*bounds[i])
-            except BaseException as exc:  # raised by the caller once every strip is done
+                work(i)
+            except BaseException as exc:  # raised by the caller once every task is done
                 errors[i] = exc
             finished.release()
 
-    # run() keeps every strip's error itself, so the futures hold nothing
+    # run() keeps every task's error itself, so the futures hold nothing
     # to read, and waiting on them would wait for tasks still queued.
-    for _ in range(min(_WORKERS, len(bounds)) - 1):
+    for _ in range(min(_WORKERS, count) - 1):
         _POOL.submit(run)
     run()
-    for _ in bounds:
+    for _ in range(count):
         finished.acquire()
     for exc in errors:
         if exc is not None:
@@ -343,14 +350,18 @@ class PpmFile(RasterImage):
         rect is the 4-byte word at 3 * (r * width + c) from the rect's
         first byte, with its high byte replaced by alpha 255.  The buffer
         holds one spare byte past the rect's last pixel, so that pixel's
-        word stays inside it; the mask drops the byte."""
+        word stays inside it; the mask drops the byte, which may lie past
+        the end of the file.  A file cut short under the read raises
+        PpmTruncatedError."""
         n = (h - 1) * self.width + w
         buf = bytearray(3 * n + 1)
         with open(self.path, "rb") as fh:
             _check_payload(os.fstat(fh.fileno()).st_size - self.offset,
                            self.width, self.height)
             fh.seek(self.offset + 3 * (y * self.width + x))
-            fh.readinto(buf)
+            got = fh.readinto(buf)
+        if got < 3 * n:
+            raise PpmTruncatedError(f"read {got} bytes of a {w}x{h} rect, need {3 * n}")
         out = np.empty((h, w, 4), dtype=np.uint8)
         words = out.view("<u4")[..., 0]
         rgbx = np.ndarray((h, w), dtype="<u4", buffer=buf, strides=(3 * self.width, 3))

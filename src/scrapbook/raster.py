@@ -107,7 +107,13 @@ The frame is an opaque RasterImage, so texels and frame pixels share one
 layout: both are read and written through packed uint32 views, one 4-byte
 element per pixel.
 
-A draw runs in one pass on the calling thread.  Nothing is cached
+A rotated draw whose bands evaluate at least SHARED_PX pixels shares
+them between the calling thread and the strip pool thread
+(`image._shared`); every other draw runs its bands, or its axis-aligned
+rects, in one pass on the calling thread.  The bands are built the same
+way either way and write disjoint pixels, each with its own copy or
+blend, so a frame does not depend on which thread drew which band, and
+the draw returns only when every band is done.  Nothing is cached
 between calls, a plan is only read, and nothing is written but the
 frame, so draws into different frames may run at once from any threads.
 """
@@ -121,13 +127,18 @@ import numpy as np
 
 from .effects import chain_output_size, chain_window, lowers_alpha, run_window
 from .geometry import Rect, outward_bbox
-from .image import RasterImage, _strip_rows
+from .image import STRIP_PX, RasterImage, _shared, _strip_rows
 from .photo import EmptyCropError, PhotoObject, display_size, source_rect
 from .viewport import ScreenSpec, to_screen
 
 # Packed texels whose alpha byte is 255; the mask is built from bytes so it
 # holds on either byte order.
 _OPAQUE = np.frombuffer(bytes((0, 0, 0, 255)), dtype=np.uint32)[0]
+
+# Evaluated pixels from which a rotated draw's bands are shared between the
+# caller and the strip pool (image._shared); a smaller draw runs inline,
+# where a thread handoff would cost more than the second core gains.
+SHARED_PX = 4 * STRIP_PX
 
 
 def _all_opaque(texels: np.ndarray) -> bool:
@@ -175,11 +186,16 @@ def prepare_content(photo: PhotoObject, source: RasterImage, window: Rect | None
     its texels are made, as an image of the window's size: the chain runs
     on the window mapped back through it (effects.chain_window), whose
     input rect alone is read from the source (RasterImage.read), and each
-    texel equals the same texel of the whole content.
+    texel equals the same texel of the whole content.  A window that is
+    empty or not inside the content raises ValueError before any read.
     """
     rect = crop_rect(photo, source)
+    whole = Rect(0, 0, *chain_output_size(rect.w, rect.h, photo.effects))
     if window is None:
-        window = Rect(0, 0, *chain_output_size(rect.w, rect.h, photo.effects))
+        window = whole
+    elif window.is_empty() or window.intersect(whole) != window:
+        raise ValueError(f"photo {photo.id!r}: window {window} is not inside its "
+                         f"{whole.w}x{whole.h} content")
     src, steps = chain_window(rect.w, rect.h, photo.effects, window)
     # The read is already a copy, so an empty chain needs no second one.
     crop = None if src.is_empty() else source.read(rect.x + src.x, rect.y + src.y, src.w, src.h)
@@ -517,41 +533,49 @@ def _draw_rotated(frame: Frame, content: RasterImage, planned: Plan) -> None:
     texels = content.packed.reshape(-1)
     pixels = frame.packed
 
+    # Each band of rows evaluates the full-grid expressions densely on the
+    # union of its rows' spans: a column's products and a row's products
+    # are formed once, then added in the grid's order.  Bands are disjoint,
+    # so they may run in any order and on any thread.
+    bands = []
     for (x0, y0, x1, y1), s0, s1 in zip(planned.rects.tolist(), starts[:-1].tolist(),
                                         starts[1:].tolist()):
         r0, r1 = y0 - box.y, y1 - box.y
-        # Each band of rows evaluates the full-grid expressions densely on
-        # the union of its rows' spans: a column's products and a row's
-        # products are formed once, then added in the grid's order.
         rows = _strip_rows(x1 - x0)
-        bands = np.arange(s0, s1, rows)
-        for b0, c0, c1 in zip((bands - s0 + r0).tolist(),
-                              np.minimum.reduceat(lo[s0:s1], bands - s0).tolist(),
-                              np.maximum.reduceat(hi[s0:s1], bands - s0).tolist()):
-            if c0 >= c1:
-                continue
-            b1 = min(b0 + rows, r1)
-            lx = np.add(col_cos[c0:c1], py_sin[b0:b1, None])
-            lx += sw / 2.0
-            ly = np.add(col_sin[c0:c1], py_cos[b0:b1, None])
-            ly += sh / 2.0
-            inside = (lx >= 0) & (lx < sw) & (ly >= 0) & (ly < sh)
+        at = np.arange(0, s1 - s0, rows)
+        for b0, c0, c1 in zip((at + r0).tolist(), np.minimum.reduceat(lo[s0:s1], at).tolist(),
+                              np.maximum.reduceat(hi[s0:s1], at).tolist()):
+            if c0 < c1:
+                bands.append((b0, min(b0 + rows, r1), c0, c1))
 
-            # Texel index floor(l / s * size).  On an inside pixel it is in
-            # 0..size-1 without a clamp (see the module docstring); an
-            # outside pixel's index is any, and take's clip keeps it in
-            # bounds.
-            for v, s, size in ((lx, sw, width), (ly, sh, height)):
-                v /= s
-                v *= size
-            sx, sy = lx.astype(np.intp), ly.astype(np.intp)
-            sy *= cw
-            sy += sx
-            if shift:
-                sy -= shift
-            got = texels.take(sy, mode="clip")
-            dst = pixels[box.y + b0:box.y + b1, box.x + c0:box.x + c1]
-            if _all_opaque(got):
-                np.copyto(dst, got, where=inside)
-            else:
-                _composite(dst, inside, got[inside])
+    def band(i: int) -> None:
+        b0, b1, c0, c1 = bands[i]
+        lx = np.add(col_cos[c0:c1], py_sin[b0:b1, None])
+        lx += sw / 2.0
+        ly = np.add(col_sin[c0:c1], py_cos[b0:b1, None])
+        ly += sh / 2.0
+        inside = (lx >= 0) & (lx < sw) & (ly >= 0) & (ly < sh)
+
+        # Texel index floor(l / s * size).  On an inside pixel it is in
+        # 0..size-1 without a clamp (see the module docstring); an outside
+        # pixel's index is any, and take's clip keeps it in bounds.
+        for v, s, size in ((lx, sw, width), (ly, sh, height)):
+            v /= s
+            v *= size
+        sx, sy = lx.astype(np.intp), ly.astype(np.intp)
+        sy *= cw
+        sy += sx
+        if shift:
+            sy -= shift
+        got = texels.take(sy, mode="clip")
+        dst = pixels[box.y + b0:box.y + b1, box.x + c0:box.x + c1]
+        if _all_opaque(got):
+            np.copyto(dst, got, where=inside)
+        else:
+            _composite(dst, inside, got[inside])
+
+    if sum((b1 - b0) * (c1 - c0) for b0, b1, c0, c1 in bands) >= SHARED_PX:
+        _shared(len(bands), band)
+    else:
+        for i in range(len(bands)):
+            band(i)

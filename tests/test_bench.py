@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 
 from scrapbook import bench
@@ -371,3 +372,23 @@ def test_seed_changes_placement_not_cost():
             write_exp_c_csv(exp_c_run(backend, seed=seed), out)
             outs.append(out.getvalue())
         assert outs[0] == outs[1], backend
+
+
+def mgrid_pattern(width, height, salt):
+    """The pool pattern as int64 mgrid arrays reduced mod 256: the
+    test-only oracle for bench._pattern."""
+    ys, xs = np.mgrid[0:height, 0:width]
+    arr = np.empty((height, width, 4), dtype=np.uint8)
+    arr[:, :, 0] = (xs * 3 + ys * 5 + salt * 29) % 256
+    arr[:, :, 1] = (xs * 7 + ys * 11 + salt * 47) % 256
+    arr[:, :, 2] = (xs * 13 + ys * 17 + salt * 71) % 256
+    arr[:, :, 3] = 255
+    return arr
+
+
+@pytest.mark.parametrize("size", sorted({*EXP_SIZES, bench.SIM_SMALL, bench.SIM_LARGE,
+                                         (1, 1), (257, 3)}))
+def test_pattern_equals_the_mgrid_expression(size):
+    for salt in (0, 1, 7, 99, 256, 1001):
+        assert np.array_equal(bench._pattern(*size, salt).array, mgrid_pattern(*size, salt)), \
+            (size, salt)

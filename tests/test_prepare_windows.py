@@ -15,6 +15,7 @@ convolutions, flips and sepia's two columns.
 
 import functools
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -180,6 +181,43 @@ def check_window(photo, source, window):
 @given(WINDOWED_CHAINS)
 def test_a_window_of_a_chain_equals_that_window_of_the_whole_chain(case):
     check_window(*case)
+
+
+def any_window(rng, w: int, h: int) -> Rect:
+    """A window near a w x h content: inside it, across an edge or a
+    corner, wholly outside or empty."""
+    x, y = int(rng.integers(-3, w + 3)), int(rng.integers(-3, h + 3))
+    return Rect(x, y, int(rng.integers(0, w + 4)), int(rng.integers(0, h + 4)))
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32 - 1))
+def test_a_window_not_inside_the_content_raises_before_any_read(seed):
+    """Over windowed chains and windows anywhere near their content: a
+    window inside the content gives the whole content's texels, and any
+    other window, empty or reaching past an edge, raises ValueError before
+    the source is read."""
+    photo, source, inside = random_windowed_chain(seed)
+    rng = np.random.default_rng(seed)
+    content = prepare_content(photo, source)
+    whole = Rect(0, 0, content.width, content.height)
+    for window in (inside, *(any_window(rng, whole.w, whole.h) for _ in range(8))):
+        if not window.is_empty() and window.intersect(whole) == window:
+            got = prepare_content(photo, source, window)
+            assert np.array_equal(got.array, content.array[window.y:window.y2,
+                                                           window.x:window.x2]), window
+            continue
+        with mock.patch.object(RasterImage, "read", side_effect=AssertionError("read")), \
+                pytest.raises(ValueError, match="not inside"):
+            prepare_content(photo, source, window)
+
+
+def test_a_window_across_a_corner_or_wholly_outside_raises():
+    source = RasterImage.filled(10, 8, (1, 2, 3, 255))
+    photo = PhotoObject(id="p", source="s", source_size=(10, 8), effects=(fx.sharpen(),))
+    for window in (Rect(5, 5, 10, 10), Rect(20, 20, 2, 2)):
+        with pytest.raises(ValueError, match="not inside its 10x8 content"):
+            prepare_content(photo, source, window)
 
 
 @PROPERTY

@@ -11,9 +11,12 @@ the whole image, plus one anywhere.  An in-memory image's read is a copy
 of the same rect.  Every generator is derandomized.  The rest checks that
 a PPM source is opaque by its format, as a scan of its decoded pixels
 says, that a file shortened after it was opened fails as a decode would,
-and that a prepared window from a file equals one from its decoded image
+that a file cut between the length check and the read fails the short
+read, and that a prepared window from a file equals one from its decoded image
 without a whole decode.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -132,6 +135,34 @@ def test_a_file_shortened_after_it_was_opened_fails_as_a_decode(ppm_path):
             with pytest.raises(PpmTruncatedError) as caught:
                 source.read(rect.x, rect.y, rect.w, rect.h)
             assert str(caught.value) == want[1]
+
+
+def test_a_file_cut_after_the_length_check_fails_the_short_read(ppm_path, monkeypatch):
+    """fstat still reports the whole file, so only the read sees the cut:
+    a rect whose bytes reach past it raises PpmTruncatedError, and a rect
+    before it reads its pixels.  The spare byte past the last pixel may
+    lie past the end of the file."""
+    pixels = np.random.default_rng(11).integers(0, 256, (5, 7, 4), dtype=np.uint8)
+    pixels[..., 3] = 255
+    full = image.encode_ppm(RasterImage.from_array(pixels))
+    ppm_path.write_bytes(full)
+    source = PpmFile(ppm_path)
+    whole = os.stat(ppm_path)
+    monkeypatch.setattr(image.os, "fstat", lambda fd: whole)
+    for rect in (Rect(6, 4, 1, 1), Rect(0, 0, 7, 5)):
+        assert np.array_equal(source.read(rect.x, rect.y, rect.w, rect.h).array,
+                              oracle_read(bytes(full), rect))
+    for cut in (1, 3, 40, len(full) - 20):
+        ppm_path.write_bytes(full[:-cut])
+        end = len(full) - cut - source.offset
+        for rect in (Rect(0, 0, 1, 1), Rect(6, 4, 1, 1), Rect(0, 0, 7, 5), Rect(2, 1, 3, 2)):
+            last = 3 * ((rect.y2 - 1) * 7 + rect.x2)
+            if last <= end:
+                assert np.array_equal(source.read(rect.x, rect.y, rect.w, rect.h).array,
+                                      oracle_read(bytes(full), rect)), (cut, rect)
+            else:
+                with pytest.raises(PpmTruncatedError):
+                    source.read(rect.x, rect.y, rect.w, rect.h)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)

@@ -6,9 +6,11 @@ they stood before pixel work ran in row strips, and `FLOAT_FNS` (from
 per-pixel adapter runs, which no kind but sepia still runs per pixel.
 They are test-only oracles, as `mgrid_draw_photo` is for draws.
 Properties run with one worker and with two, on shapes at strip edges;
-every generator is derandomized.  Draws no longer run in strips: they
-are drawn here on a region of strip-high rects, and are one pass on the
-calling thread whatever the worker count.
+every generator is derandomized.  Draws are drawn here on a region of
+strip-high rects.  A rotated draw whose bands evaluate at least
+raster.SHARED_PX pixels shares them with the pool thread and must equal
+the same draw on one worker; every smaller draw is one pass on the
+calling thread.
 """
 
 import hashlib
@@ -17,6 +19,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -229,22 +232,36 @@ def test_one_worker_reproduces_the_goldens():
 
 
 def _blur_and_draw(image, photo, screen):
+    """Blur the image, then draw it twice: at the photo's transform on the
+    whole box, and at -40 degrees and twice the scale on a region, from the
+    window its rects sample."""
     frame = Frame(screen.width, screen.height)
     blurred = apply_effect(image, fx.blur())
     draw_photo(frame, photo, blurred, screen)
+    tilted = PhotoObject(id="q", source="s", source_size=photo.source_size,
+                         scale=2 * photo.scale, angle=-40.0, center=photo.center)
+    planned = raster.plan(tilted, screen, [Rect(100, 80, 700, 540)],
+                          raster.footprint(tilted, screen), photo.source_size)
+    planned = planned._replace(window=_window_of(planned))
+    draw_photo(frame, tilted, blurred.read(*astuple(planned.window)), screen, planned)
     return hashlib.sha256(bytes(blurred.data) + bytes(frame.data)).hexdigest()
 
 
 def test_concurrent_callers_get_the_serial_bytes():
-    """Four threads run strip kernels at once, as the HTTP server's
-    handler threads do, and share the one strip pool.  The content is
-    translucent, so a strip skipped or blended twice changes the bytes."""
+    """Four threads run strip kernels and draws that share their bands at
+    once, as the HTTP server's handler threads do, and share the one
+    strip pool.  The content is translucent, so a strip or a band skipped
+    or blended twice changes the bytes."""
     image = random_image(3, 500, 400)
     screen = ScreenSpec.identity(900, 700)
     photo = PhotoObject(id="p", source="s", source_size=(500, 400), scale=1.3,
                         angle=17.0, center=(450.0, 350.0))
     with workers(1):
         serial = _blur_and_draw(image, photo, screen)
+    # Both draws are above the threshold: each shares its bands.
+    with workers(2), mock.patch.object(raster, "_shared", wraps=raster._shared) as shared:
+        assert _blur_and_draw(image, photo, screen) == serial
+    assert shared.call_count == 2
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -264,23 +281,69 @@ def test_single_worker_or_single_strip_runs_inline_in_order():
         assert seen == [(r, r + 1, threading.get_ident()) for r in range(height)]
 
 
-def test_a_draw_of_any_size_hands_nothing_to_the_pool_thread():
-    """A draw, small as a drag's damage box or larger than 2**20 pixels,
-    axis-aligned or rotated, is one kernel pass on the caller and hands
-    nothing to the pool thread.  The content covers the whole frame, so
-    the box is side x side pixels."""
+def test_a_draw_below_the_threshold_hands_nothing_to_the_pool_thread():
+    """An axis-aligned draw of any size, small as a drag's damage box or
+    larger than 2**20 pixels, and a rotated draw whose bands evaluate
+    fewer than raster.SHARED_PX pixels are one kernel pass on the caller
+    and hand nothing to the pool thread.  The content covers the whole
+    frame, so the box is side x side pixels."""
     content = random_image(7, 60, 40)
-    for side in (1000, 1100):
-        for angle, name in ((0.0, "_draw_axis"), (30.0, "_draw_rotated")):
-            photo = PhotoObject(id="p", source="s", source_size=(60, 40), scale=side / 20.0,
-                                angle=angle, center=(side / 2.0, side / 2.0))
-            pool = mock.Mock()
-            with mock.patch.object(image_mod, "_WORKERS", 2), \
-                    mock.patch.object(image_mod, "_POOL", pool), \
-                    mock.patch.object(raster, name, wraps=getattr(raster, name)) as kernel:
-                draw_photo(Frame(side, side), photo, content, ScreenSpec.identity(side, side))
-            assert not pool.submit.called, (side, angle)
-            assert kernel.call_count == 1, (side, angle)
+    for side, angle, name in ((1000, 0.0, "_draw_axis"), (1100, 0.0, "_draw_axis"),
+                              (300, 30.0, "_draw_rotated"), (500, 30.0, "_draw_rotated")):
+        assert angle == 0.0 or side * side < raster.SHARED_PX
+        photo = PhotoObject(id="p", source="s", source_size=(60, 40), scale=side / 20.0,
+                            angle=angle, center=(side / 2.0, side / 2.0))
+        pool = mock.Mock()
+        with mock.patch.object(image_mod, "_WORKERS", 2), \
+                mock.patch.object(image_mod, "_POOL", pool), \
+                mock.patch.object(raster, name, wraps=getattr(raster, name)) as kernel:
+            draw_photo(Frame(side, side), photo, content, ScreenSpec.identity(side, side))
+        assert not pool.submit.called, (side, angle)
+        assert kernel.call_count == 1, (side, angle)
+
+
+def _window_of(planned):
+    """The bounding rect of the texels the plan's rects sample."""
+    x0, y0, _, _ = planned.bounds.min(axis=0).tolist()
+    _, _, x1, y1 = planned.bounds.max(axis=0).tolist()
+    return Rect(x0, y0, x1 - x0, y1 - y0)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_a_rotated_draw_above_the_threshold_shares_its_bands_and_equals_one_worker(data):
+    """A rotated draw whose bands evaluate at least raster.SHARED_PX pixels
+    hands its bands to the pool thread too, and writes the bytes of the
+    same draw on one worker: opaque, partly or wholly translucent content,
+    on the whole box or on a region whose window has a non-zero origin."""
+    nprng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    alpha = data.draw(st.sampled_from(["opaque", "top half opaque", "any"]))
+    content = _content(nprng, data.draw(st.integers(16, 300)), data.draw(st.integers(16, 300)), alpha)
+    angle = data.draw(st.sampled_from([-30.0, 1e-9, 89.5]) | st.floats(1.0, 89.0))
+    screen = ScreenSpec.identity(800, 600)
+    # The rotated rect holds a disc of radius 800 about a centre near the
+    # frame's, so every pixel of the frame is inside, and the region's
+    # pixels lie at least 300 pixels, three texels, from each edge.
+    photo = PhotoObject(id="p", source="s", source_size=(content.width, content.height),
+                        scale=1600.0 / min(content.width, content.height), angle=angle,
+                        center=(data.draw(st.floats(350, 450)), data.draw(st.floats(250, 350))))
+    windowed = data.draw(st.booleans())
+    planned = raster.plan(photo, screen, [Rect(50, 50, 700, 500)] if windowed else None,
+                          raster.footprint(photo, screen), (content.width, content.height))
+    if windowed:
+        planned = planned._replace(window=_window_of(planned))
+        assert planned.window.x > 0 and planned.window.y > 0
+    drawn = content.read(*astuple(planned.window))
+    want = Frame(800, 600)
+    want.rgb[:] = nprng.integers(0, 256, (600, 800, 3), dtype=np.uint8)
+    got = want.copy()
+    with workers(1):
+        draw_photo(want, photo, drawn, screen, planned)
+    with workers(2), mock.patch.object(image_mod._POOL, "submit",
+                                       wraps=image_mod._POOL.submit) as submit:
+        draw_photo(got, photo, drawn, screen, planned)
+    assert submit.called, photo
+    assert got == want, photo
 
 
 def test_strips_cover_the_rows_once():
